@@ -53,7 +53,7 @@ StringFigure::gate(NodeId u)
 {
     const ReconfigResult r = reconfig_->gate(u);
     if (r.applied)
-        invalidateFallback();
+        invalidateEscapeTables();
     return r;
 }
 
@@ -62,7 +62,7 @@ StringFigure::ungate(NodeId u)
 {
     const ReconfigResult r = reconfig_->ungate(u);
     if (r.applied)
-        invalidateFallback();
+        invalidateEscapeTables();
     return r;
 }
 
@@ -74,13 +74,14 @@ StringFigure::reduceTo(std::size_t live_target, Rng &rng)
         return gated;
     gated = reconfig_->gateRandom(
         reconfig_->numAlive() - live_target, rng);
-    invalidateFallback();
+    invalidateEscapeTables();
     return gated;
 }
 
 void
-StringFigure::invalidateFallback()
+StringFigure::invalidateEscapeTables()
 {
+    invalidateUpDownRouting();
     const std::lock_guard<std::mutex> lock(fallbackMutex_);
     fallbackValid_.store(false, std::memory_order_release);
     fallbackNextLink_.clear();

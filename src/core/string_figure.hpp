@@ -108,7 +108,8 @@ class StringFigure : public net::Topology
     }
 
   private:
-    void invalidateFallback();
+    /** Drop the fallback and up*-down* tables after a gate. */
+    void invalidateEscapeTables();
     void buildFallbackTable() const;
 
     SFTopologyData data_;

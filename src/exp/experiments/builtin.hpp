@@ -1,7 +1,7 @@
 /**
  * @file
  * Registration entry points of the built-in experiments (one
- * function per experiments/*.cpp translation unit). Explicit
+ * function per translation unit under experiments/). Explicit
  * registration keeps static-library linking reliable — no
  * self-registering globals for the linker to drop.
  */

@@ -358,6 +358,20 @@ resetPeakRss()
 }
 
 /**
+ * The arbitration work counters of one run: forward attempts, heads
+ * skipped on a proof, router-cycles slept. Implementation-dependent
+ * (test-only, like routeCacheRebuilds): they show where sleep/wake
+ * arbitration saves work and never appear in deterministic reports.
+ */
+void
+setWorkCounters(Json &m, const sim::RunResult &result)
+{
+    m.set("forward_attempts", result.forwardAttempts);
+    m.set("heads_skipped_on_proof", result.headsSkippedOnProof);
+    m.set("router_cycles_slept", result.routerCyclesSlept);
+}
+
+/**
  * Cycle-engine hot-path benchmark (BENCH_sim_hotpath.json): wall
  * clock of full runSynthetic simulations on the paper's largest
  * Fig 11 configuration — 1024 nodes, uniform-random traffic — at a
@@ -514,6 +528,7 @@ microSimulatorSpec()
                     m.set("measured_packets",
                           result.measuredPackets);
                     m.set("flit_hops", result.flitHops);
+                    setWorkCounters(m, result);
                     m.set("saturated", result.saturated);
                     m.set("process_peak_rss_kb",
                           processPeakRssKb());
@@ -695,6 +710,7 @@ microSimulatorSpec()
                     m.set("measured_packets",
                           result.measuredPackets);
                     m.set("flit_hops", result.flitHops);
+                    setWorkCounters(m, result);
                     m.set("saturated", result.saturated);
                     m.set("process_peak_rss_kb",
                           processPeakRssKb());

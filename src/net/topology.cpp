@@ -2,6 +2,31 @@
 
 namespace sf::net {
 
+std::shared_ptr<const UpDownRouting>
+Topology::upDownRouting() const
+{
+    if (!updownValid_.load(std::memory_order_acquire)) {
+        const std::lock_guard<std::mutex> lock(updownMutex_);
+        if (!updownValid_.load(std::memory_order_relaxed)) {
+            std::vector<bool> alive(numNodes());
+            for (NodeId u = 0; u < numNodes(); ++u)
+                alive[u] = nodeAlive(u);
+            updown_ =
+                std::make_shared<const UpDownRouting>(graph(), alive);
+            updownValid_.store(true, std::memory_order_release);
+        }
+    }
+    return updown_;
+}
+
+void
+Topology::invalidateUpDownRouting()
+{
+    const std::lock_guard<std::mutex> lock(updownMutex_);
+    updownValid_.store(false, std::memory_order_release);
+    updown_.reset();
+}
+
 RoutedProbe
 probeRoutedHops(const Topology &topo, Rng &rng, int samples)
 {

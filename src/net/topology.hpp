@@ -11,7 +11,10 @@
 
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -19,6 +22,7 @@
 #include "net/graph.hpp"
 #include "net/rng.hpp"
 #include "net/types.hpp"
+#include "net/updown.hpp"
 
 namespace sf::net {
 
@@ -153,6 +157,31 @@ class Topology
 
     /** Table II feature flags. */
     virtual TopologyFeatures features() const { return {}; }
+
+    /**
+     * The up*-down* escape tables of the current topology
+     * generation, over the enabled links and live nodes. Built on
+     * the first call (never at construction) and shared by every
+     * caller until a reconfiguration invalidates them. Thread-safe:
+     * shared immutable instances hand the tables to many simulator
+     * threads at once, so the lazy build is double-checked under a
+     * mutex. A holder keeps its generation's tables alive across
+     * an invalidation.
+     */
+    std::shared_ptr<const UpDownRouting> upDownRouting() const;
+
+  protected:
+    /**
+     * Drop the escape tables after a link or liveness change; the
+     * next upDownRouting() call rebuilds them. Writers only — like
+     * every topology mutation, never concurrent with routing.
+     */
+    void invalidateUpDownRouting();
+
+  private:
+    mutable std::mutex updownMutex_;
+    mutable std::shared_ptr<const UpDownRouting> updown_;
+    mutable std::atomic<bool> updownValid_{false};
 };
 
 /**

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <numeric>
+#include <stdexcept>
 
 #include "net/paths.hpp"
 
@@ -15,13 +16,22 @@ constexpr std::uint32_t kInf =
 
 } // namespace
 
+std::atomic<std::uint64_t> UpDownRouting::builds_{0};
+
 UpDownRouting::UpDownRouting(const Graph &g,
                              const std::vector<bool> &alive)
-    : n_(g.numNodes())
+    : graph_(&g), n_(g.numNodes())
 {
+    builds_.fetch_add(1, std::memory_order_relaxed);
     const auto is_alive = [&](NodeId u) {
         return alive.empty() || alive[u];
     };
+    for (NodeId u = 0; u < n_; ++u) {
+        if (g.outLinks(u).size() >= kNone)
+            throw std::invalid_argument(
+                "UpDownRouting: out-degree exceeds the one-byte "
+                "table index");
+    }
 
     // Tree levels: BFS from the first live node over the enabled
     // links treated as undirected (the escape network only needs a
@@ -40,17 +50,17 @@ UpDownRouting::UpDownRouting(const Graph &g,
         if (is_alive(u))
             root = u;
     }
-    level_.assign(n_, kUnreachable);
+    std::vector<std::uint16_t> level(n_, kUnreachable);
     if (root != kInvalidNode)
-        level_ = bfsDistances(undirected, root);
+        level = bfsDistances(undirected, root);
 
     // Link classification: "up" strictly ascends (level, id).
     isUp_.assign(g.numLinks(), false);
     for (LinkId id = 0;
          id < static_cast<LinkId>(g.numLinks()); ++id) {
         const Link &l = g.link(id);
-        isUp_[id] = std::pair(level_[l.dst], l.dst) <
-                    std::pair(level_[l.src], l.src);
+        isUp_[id] = std::pair(level[l.dst], l.dst) <
+                    std::pair(level[l.src], l.src);
     }
 
     // Node processing order for the up-phase DP: ascending (level,
@@ -58,21 +68,25 @@ UpDownRouting::UpDownRouting(const Graph &g,
     std::vector<NodeId> order(n_);
     std::iota(order.begin(), order.end(), 0u);
     std::sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
-        return std::pair(level_[a], a) < std::pair(level_[b], b);
+        return std::pair(level[a], a) < std::pair(level[b], b);
     });
 
-    nextUpPhase_.assign(n_ * n_, kInvalidLink);
-    nextDownPhase_.assign(n_ * n_, kInvalidLink);
+    nextUpPhase_.assign(n_ * n_, kNone);
+    nextDownPhase_.assign(n_ * n_, kNone);
     std::vector<std::uint32_t> d_down(n_);
     std::vector<std::uint32_t> d_any(n_);
+    std::vector<NodeId> queue;
+    queue.reserve(n_);
 
     for (NodeId t = 0; t < n_; ++t) {
         if (!is_alive(t))
             continue;
+        std::uint8_t *down = nextDownPhase_.data() + t * n_;
+        std::uint8_t *up = nextUpPhase_.data() + t * n_;
         // Down-phase distances: BFS from t over reversed down links.
         std::fill(d_down.begin(), d_down.end(), kInf);
         d_down[t] = 0;
-        std::vector<NodeId> queue{t};
+        queue.assign(1, t);
         for (std::size_t head = 0; head < queue.size(); ++head) {
             const NodeId v = queue[head];
             for (LinkId id : g.inLinks(v)) {
@@ -88,11 +102,12 @@ UpDownRouting::UpDownRouting(const Graph &g,
         for (NodeId u = 0; u < n_; ++u) {
             if (d_down[u] == kInf || u == t || !is_alive(u))
                 continue;
-            for (LinkId id : g.outLinks(u)) {
-                const Link &l = g.link(id);
-                if (l.enabled && !isUp_[id] && is_alive(l.dst) &&
+            const std::vector<LinkId> &out = g.outLinks(u);
+            for (std::size_t i = 0; i < out.size(); ++i) {
+                const Link &l = g.link(out[i]);
+                if (l.enabled && !isUp_[out[i]] && is_alive(l.dst) &&
                     d_down[l.dst] + 1 == d_down[u]) {
-                    nextDownPhase_[u * n_ + t] = id;
+                    down[u] = static_cast<std::uint8_t>(i);
                     break;
                 }
             }
@@ -105,30 +120,21 @@ UpDownRouting::UpDownRouting(const Graph &g,
         for (NodeId u : order) {
             if (u == t || !is_alive(u))
                 continue;
-            LinkId best_link = nextDownPhase_[u * n_ + t];
-            for (LinkId id : g.outLinks(u)) {
-                const Link &l = g.link(id);
-                if (!l.enabled || !isUp_[id] || !is_alive(l.dst))
+            std::uint8_t best = down[u];
+            const std::vector<LinkId> &out = g.outLinks(u);
+            for (std::size_t i = 0; i < out.size(); ++i) {
+                const Link &l = g.link(out[i]);
+                if (!l.enabled || !isUp_[out[i]] || !is_alive(l.dst))
                     continue;
                 if (d_any[l.dst] != kInf &&
                     d_any[l.dst] + 1 < d_any[u]) {
                     d_any[u] = d_any[l.dst] + 1;
-                    best_link = id;
+                    best = static_cast<std::uint8_t>(i);
                 }
             }
-            nextUpPhase_[u * n_ + t] = best_link;
+            up[u] = best;
         }
     }
-}
-
-LinkId
-UpDownRouting::nextLink(NodeId u, NodeId dest,
-                        bool up_phase_allowed) const
-{
-    if (u == dest)
-        return kInvalidLink;
-    return up_phase_allowed ? nextUpPhase_[u * n_ + dest]
-                            : nextDownPhase_[u * n_ + dest];
 }
 
 } // namespace sf::net

@@ -15,10 +15,20 @@
  * This module computes, for a given Graph, the next-hop table of the
  * escape network: nextLink(u, dest) such that following it repeatedly
  * reaches dest along a legal up*-down* path.
+ *
+ * Layout: one byte per (dest, u) entry per phase, at [dest * n + u],
+ * holding an index into graph.outLinks(u) (kNone = no legal hop).
+ * Destination-major rows match the build loop, which fills one
+ * destination column at a time, and keep the tables at 2 n² bytes
+ * (2 MB at n = 1024). The tables are a pure function of the graph's
+ * enabled links and the liveness mask at build time; the topology
+ * owns one shared instance per topology generation
+ * (net::Topology::upDownRouting).
  */
 
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -30,10 +40,16 @@ namespace sf::net {
 class UpDownRouting
 {
   public:
+    /** Table entry meaning "no legal next hop". */
+    static constexpr std::uint8_t kNone = 0xff;
+
     /**
-     * Build the tables.
+     * Build the tables. @p g must outlive this object (lookups
+     * resolve out-link indices through it).
      *
      * @param alive Optional liveness mask: gated nodes are excluded.
+     * @throws std::invalid_argument when a node has more than 254
+     *         out-links (the index would not fit one byte).
      */
     explicit UpDownRouting(const Graph &g,
                            const std::vector<bool> &alive = {});
@@ -45,8 +61,16 @@ class UpDownRouting
      *        link; up links are then illegal.
      * @return Link id, or kInvalidLink if unreachable.
      */
-    LinkId nextLink(NodeId u, NodeId dest,
-                    bool up_phase_allowed) const;
+    LinkId
+    nextLink(NodeId u, NodeId dest, bool up_phase_allowed) const
+    {
+        if (u == dest)
+            return kInvalidLink;
+        const std::vector<std::uint8_t> &table =
+            up_phase_allowed ? nextUpPhase_ : nextDownPhase_;
+        const std::uint8_t idx = table[dest * n_ + u];
+        return idx == kNone ? kInvalidLink : graph_->outLinks(u)[idx];
+    }
 
     /** True when the link classifies as "up". */
     bool isUp(LinkId id) const { return isUp_[id]; }
@@ -59,17 +83,25 @@ class UpDownRouting
                nextLink(u, dest, true) != kInvalidLink;
     }
 
+    /** Tables built so far in this process (all instances). */
+    static std::uint64_t
+    buildCount()
+    {
+        return builds_.load(std::memory_order_relaxed);
+    }
+
   private:
+    const Graph *graph_;
     std::size_t n_ = 0;
-    /** Tree level of each node (BFS distance from the root). */
-    std::vector<std::uint16_t> level_;
     std::vector<bool> isUp_;
     /**
-     * Per (node, dest): best next link when still in the up phase
-     * and when restricted to the down phase. kInvalidLink = none.
+     * Per (dest, node): out-link index of the best next hop when
+     * still in the up phase and when restricted to the down phase.
      */
-    std::vector<LinkId> nextUpPhase_;
-    std::vector<LinkId> nextDownPhase_;
+    std::vector<std::uint8_t> nextUpPhase_;
+    std::vector<std::uint8_t> nextDownPhase_;
+
+    static std::atomic<std::uint64_t> builds_;
 };
 
 } // namespace sf::net

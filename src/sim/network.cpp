@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -46,6 +47,31 @@ constexpr std::uint64_t kWfReady = 1;
 constexpr std::uint64_t kWfClaimed = 2;
 constexpr std::uint64_t kWfDone = 3;
 
+/**
+ * Longest proof a blocked head may hold (cycles). A head blocked
+ * only by full downstream VCs is blocked "until a drain", which has
+ * no cycle bound; capping it keeps every proof far inside the
+ * 32-bit wrap-around window (a proof is re-derived at least this
+ * often), and an expiry only costs one re-check.
+ */
+constexpr Cycle kProofHorizon = Cycle(1) << 30;
+
+/** Does a proof stored as @p until still block the head at @p t?
+ *  Wrap-around compare on the low 32 bits (until - t < 2^31). */
+bool
+proofHolds(std::uint32_t until, Cycle t)
+{
+    return static_cast<std::int32_t>(
+               until - static_cast<std::uint32_t>(t)) > 0;
+}
+
+/** The full cycle of a proof that holds at @p now. */
+Cycle
+proofCycle(std::uint32_t until, Cycle now)
+{
+    return now + (until - static_cast<std::uint32_t>(now));
+}
+
 std::uint64_t
 elapsedNs(std::chrono::steady_clock::time_point from,
           std::chrono::steady_clock::time_point to)
@@ -64,6 +90,10 @@ NetworkModel::NetworkModel(const net::Topology &topo,
       escapeBase_(topo.numVcClasses() * kNumMsgClasses),
       rng_(cfg.seed)
 {
+    if (cfg.vcDepth > std::numeric_limits<std::int16_t>::max())
+        throw std::invalid_argument(
+            "SimConfig::vcDepth exceeds the 16-bit VC occupancy "
+            "counter");
     const std::size_t n = topo.numNodes();
     const std::size_t links = topo.graph().numLinks();
     linkBusyUntil_.assign(links, 0);
@@ -71,16 +101,17 @@ NetworkModel::NetworkModel(const net::Topology &topo,
     inputGrantAt_.assign(links, Cycle(-1));
     vcs_.resize(links * static_cast<std::size_t>(totalVcs()));
     for (LinkId l = 0; l < static_cast<LinkId>(links); ++l) {
-        for (int v = 0; v < totalVcs(); ++v) {
-            VcState &vc = vcs_[vcStateIndex(l, v)];
-            vc.link = l;
-            vc.vcIndex = static_cast<std::uint16_t>(v);
-        }
+        for (int v = 0; v < totalVcs(); ++v)
+            vcs_[vcStateIndex(l, v)].link = l;
     }
     sourceQueue_.resize(n);
     sourceBusyUntil_.assign(n, 0);
     ejectBusyUntil_.assign(n, 0);
     pendingArrivals_.assign(n, 0);
+    sourceProof_.assign(n, 0);
+    wakeAt_.assign(n, 0);
+    drainCount_.assign(n, 0);
+    drainSeen_.assign(n, 0);
     activeVcs_.resize(n);
     nodeActive_.assign(n, 0);
     if (cfg.profileWavefront) {
@@ -149,8 +180,11 @@ NetworkModel::inject(NodeId src, NodeId dst, int flits, MsgClass mc,
                     Arrival{now + 1, slot, kInvalidLink, 0});
         return;
     }
+    if (sourceQueue_[src].empty())
+        sourceProof_[src] = static_cast<std::uint32_t>(now);
     sourceQueue_[src].push(pool_, slot);
     ++sourceBacklog_;
+    wakeAt_[src] = 0;
     activateNode(src);
 }
 
@@ -192,7 +226,7 @@ NetworkModel::audit() const
 void
 NetworkModel::onTopologyChanged()
 {
-    updown_.reset();
+    escapeTables_.reset();
     ++stats_.topologyEpochs;
     anyGated_ = false;
     for (NodeId u = 0; u < topo_->numNodes(); ++u) {
@@ -220,6 +254,10 @@ NetworkModel::onTopologyChanged()
         }
         if (!sourceQueue_[node].empty())
             pool_.at(sourceQueue_[node].head).routed = false;
+        // Every proof assumed the old candidates and link set: a
+        // drain signal discards them at the node's next decide and
+        // wakes it if it sleeps.
+        ++drainCount_[node];
     }
     // The memoized plane is a per-epoch object: retire the old
     // epoch's tables and rebuild fresh ones against the new
@@ -420,16 +458,12 @@ NetworkModel::routeShard(std::size_t shard)
     }
 }
 
-void
-NetworkModel::ensureEscapeTables() const
+const net::UpDownRouting &
+NetworkModel::upDownRouting()
 {
-    if (updown_)
-        return;
-    std::vector<bool> alive(topo_->numNodes());
-    for (NodeId u = 0; u < topo_->numNodes(); ++u)
-        alive[u] = topo_->nodeAlive(u);
-    updown_ = std::make_unique<net::UpDownRouting>(topo_->graph(),
-                                                   alive);
+    if (!escapeTables_)
+        escapeTables_ = topo_->upDownRouting();
+    return *escapeTables_;
 }
 
 void
@@ -495,10 +529,13 @@ NetworkModel::phaseLand(Cycle now)
         const std::size_t flat =
             vcStateIndex(top.link, top.vcIndex);
         VcState &vc = vcs_[flat];
-        if (vc.fifo.empty())
+        if (vc.fifo.empty()) {
             vc.headSince = now;
+            vc.proofUntil = static_cast<std::uint32_t>(now);
+        }
         vc.fifo.push(pool_, top.slot);
         --pendingArrivals_[at_node];
+        wakeAt_[at_node] = 0;
         if (!vc.inActiveList) {
             vc.inActiveList = true;
             activeVcs_[at_node].push_back(
@@ -629,7 +666,63 @@ NetworkModel::phaseArbitrateSerial(Cycle now, bool time_phases)
 void
 NetworkModel::decideNode(NodeId node, Cycle now, NodeEffects &fx)
 {
+    // A sleeping router: every head holds a proof that it cannot
+    // move before wakeAt_, and no wake event (landing, inject,
+    // drain, reconfiguration) has arrived since. Its decide would
+    // fail every attempt without side effects, so skipping it
+    // changes no simulated event.
+    const bool drained = drainCount_[node] != drainSeen_[node];
+    if (!drained && now < wakeAt_[node]) {
+        fx.slept = true;
+        return;
+    }
+    if (drained) {
+        // A downstream VC freed space (or the topology changed):
+        // any "until a drain" proof may be void, so drop them all.
+        drainSeen_[node] = drainCount_[node];
+        const auto cleared = static_cast<std::uint32_t>(now);
+        for (const std::uint32_t flat : activeVcs_[node])
+            vcs_[flat].proofUntil = cleared;
+        sourceProof_[node] = cleared;
+    }
+    decideHeads(node, now, fx);
+    wakeAt_[node] = fx.progressed ? 0 : sleepUntil(node, now);
+}
+
+Cycle
+NetworkModel::sleepUntil(NodeId node, Cycle now) const
+{
+    // Derived from the final list, not from the scan: the
+    // round-robin walk can leave one listed VC unvisited for a
+    // cycle while visiting another twice, so only proofs actually
+    // held by every listed head are trusted.
+    const Cycle next = now + 1;
+    Cycle wake = now + kProofHorizon;
+    bool any = false;
+    for (const std::uint32_t flat : activeVcs_[node]) {
+        const VcState &vc = vcs_[flat];
+        if (vc.fifo.empty() || !proofHolds(vc.proofUntil, next))
+            return 0;
+        wake = std::min(wake, proofCycle(vc.proofUntil, now));
+        any = true;
+    }
+    if (!sourceQueue_[node].empty()) {
+        if (sourceBusyUntil_[node] > next)
+            wake = std::min(wake, sourceBusyUntil_[node]);
+        else if (proofHolds(sourceProof_[node], next))
+            wake = std::min(wake, proofCycle(sourceProof_[node], now));
+        else
+            return 0;
+        any = true;
+    }
+    return any ? wake : 0;
+}
+
+void
+NetworkModel::decideHeads(NodeId node, Cycle now, NodeEffects &fx)
+{
     auto &active = activeVcs_[node];
+    const auto cleared = static_cast<std::uint32_t>(now);
     // Round-robin start offset for fairness.
     const std::size_t start =
         active.empty() ? 0 : static_cast<std::size_t>(
@@ -652,6 +745,12 @@ NetworkModel::decideNode(NodeId node, Cycle now, NodeEffects &fx)
             ++k;
             continue;
         }
+        // A head proven blocked: the attempt would fail.
+        if (proofHolds(vc.proofUntil, now)) {
+            ++fx.headsSkipped;
+            ++k;
+            continue;
+        }
         const std::uint32_t slot = vc.fifo.head;
         Packet &p = pool_.at(slot);
         // Escalate to the escape VC after a long head-of-line wait.
@@ -666,17 +765,30 @@ NetworkModel::decideNode(NodeId node, Cycle now, NodeEffects &fx)
             vc.flitsReserved -= p.flits;
             vc.fifo.pop(pool_);
             vc.headSince = now;
+            vc.proofUntil = cleared;
             fx.progressed = true;
+            fx.drains.push_back(topo_->graph().link(link).src);
             fx.ops.push_back(PendingOp{PendingOp::kDrop, 0, slot,
                                        kInvalidLink, now});
             continue;
         }
-        if (tryForward(node, p, slot, now, false, fx)) {
+        Cycle blocked_until = now;
+        if (tryForward(node, p, slot, now, false, fx, blocked_until)) {
             inputGrantAt_[link] = now;
             vc.flitsReserved -= p.flits;
             vc.fifo.pop(pool_);
             vc.headSince = now;
+            vc.proofUntil = cleared;
             fx.progressed = true;
+            fx.drains.push_back(topo_->graph().link(link).src);
+        } else {
+            // A head still on a normal VC must be re-examined on
+            // the cycle it escalates to the escape VC.
+            if (!p.escape)
+                blocked_until =
+                    std::min(blocked_until,
+                             vc.headSince + cfg_.escapeThreshold + 1);
+            vc.proofUntil = static_cast<std::uint32_t>(blocked_until);
         }
         ++k;
     }
@@ -689,20 +801,27 @@ NetworkModel::decideNode(NodeId node, Cycle now, NodeEffects &fx)
         Packet &p = pool_.at(slot);
         if (!p.routed && !computeRoute(node, p, now, fx)) {
             source.pop(pool_);
+            sourceProof_[node] = cleared;
             fx.progressed = true;
             fx.ops.push_back(PendingOp{PendingOp::kSourceDrop, 0,
                                        slot, kInvalidLink, now});
             return;
         }
         if (p.routed) {
-            p.enteredNetworkAt = now;
-            if (tryForward(node, p, slot, now, true, fx)) {
+            Cycle blocked_until = now;
+            if (tryForward(node, p, slot, now, true, fx,
+                           blocked_until)) {
+                p.enteredNetworkAt = now;
                 sourceBusyUntil_[node] = now + p.flits;
                 source.pop(pool_);
+                sourceProof_[node] = cleared;
                 fx.progressed = true;
                 // Source packets never have dst == node (inject
                 // short-circuits those), so the packet moved into
                 // the arrival queue — the slot stays live.
+            } else {
+                sourceProof_[node] =
+                    static_cast<std::uint32_t>(blocked_until);
             }
         }
     }
@@ -756,7 +875,14 @@ NetworkModel::commitNode(NodeId node, Cycle now, NodeEffects &fx)
             break;
         }
     }
+    // The drain signal: each upstream node whose out-link VC freed
+    // space re-examines its proofs at its next decide.
+    for (const NodeId upstream : fx.drains)
+        ++drainCount_[upstream];
     stats_.escapeTransfers += fx.escapeTransfers;
+    stats_.forwardAttempts += fx.forwardAttempts;
+    stats_.headsSkippedOnProof += fx.headsSkipped;
+    stats_.routerCyclesSlept += fx.slept ? 1 : 0;
     if (fx.progressed)
         lastProgress_ = now;
 }
@@ -827,9 +953,9 @@ NetworkModel::phaseArbitrateWavefront(Cycle now)
     wfWalkDone_.store(false, std::memory_order_relaxed);
     for (const auto &job : wfJobs_)
         job->tag.store(0, std::memory_order_relaxed);
-    // The escape tables are a lazily built mutable cache; build
-    // them at the barrier so no two decide stages race the build.
-    ensureEscapeTables();
+    // Decide stages read the model's escape tables; fetch them at
+    // the barrier so no two decide stages race the first fetch.
+    upDownRouting();
     wfInWalk_ = true;
     // runAll's internal synchronisation publishes the resets above
     // to every worker before any task runs.
@@ -943,7 +1069,8 @@ NetworkModel::wavefrontDriver()
         while (dnext < wfSeqNodes_.size() && dnext < cpos + width) {
             WavefrontJob &job = *wfJobs_[dnext % width];
             job.node = wfSeqNodes_[dnext];
-            job.needCommits = wfSeqNeed_[dnext];
+            job.needCommits.store(wfSeqNeed_[dnext],
+                                  std::memory_order_relaxed);
             job.fx.clear();
             job.tag.store(dnext * 4 + kWfReady,
                           std::memory_order_release);
@@ -1049,7 +1176,7 @@ NetworkModel::wavefrontWorker()
             // eligibility uses the slot's own values, so a slot
             // recycled for a later position is still claimed
             // correctly (the CAS on the exact tag is ABA-safe).
-            if (job.needCommits >
+            if (job.needCommits.load(std::memory_order_relaxed) >
                 wfCommitted_.load(std::memory_order_acquire))
                 continue;
             const std::uint64_t jpos = t >> 2;
@@ -1102,10 +1229,8 @@ NetworkModel::computeRoute(NodeId node, Packet &p, Cycle now,
     if (topo_->escapeScheme() == net::EscapeScheme::Ring) {
         link = topo_->ringEscapeLink(node);
     }
-    if (link == kInvalidLink) {
-        ensureEscapeTables();
-        link = updown_->nextLink(node, p.dst, p.escapeUpPhase);
-    }
+    if (link == kInvalidLink)
+        link = upDownRouting().nextLink(node, p.dst, p.escapeUpPhase);
     if (link == kInvalidLink)
         return false;  // genuinely unreachable
     p.candidates[0] = link;
@@ -1117,12 +1242,16 @@ NetworkModel::computeRoute(NodeId node, Packet &p, Cycle now,
 bool
 NetworkModel::tryForward(NodeId node, Packet &p, std::uint32_t slot,
                          Cycle now, bool from_source,
-                         NodeEffects &fx)
+                         NodeEffects &fx, Cycle &blocked_until)
 {
-    // Ejection at the destination.
+    ++fx.forwardAttempts;
+    // Ejection at the destination: only this node's own ejections
+    // move ejectBusyUntil_.
     if (p.dst == node) {
-        if (ejectBusyUntil_[node] > now)
+        if (ejectBusyUntil_[node] > now) {
+            blocked_until = ejectBusyUntil_[node];
             return false;
+        }
         ejectBusyUntil_[node] = now + p.flits;
         fx.ops.push_back(PendingOp{PendingOp::kEject, 0, slot,
                                    kInvalidLink, now + p.flits});
@@ -1132,10 +1261,17 @@ NetworkModel::tryForward(NodeId node, Packet &p, std::uint32_t slot,
     // Collect currently grantable candidates. The downstream VC is
     // a function of the packet alone, so it is hoisted out of the
     // candidate scan.
+    //
+    // Proof of a failure, per candidate: a busy link stays busy
+    // until linkBusyUntil_ (only this node grants its out-links,
+    // and a grant needs the link free); a full downstream VC stays
+    // full until that VC drains (only this node reserves it); a
+    // disabled link proves nothing.
     LinkId usable[Packet::kMaxCandidates];
     double occupancy[Packet::kMaxCandidates];
     int usable_count = 0;
     bool stale = false;
+    Cycle until = now + kProofHorizon;
     const int want_vc = downstreamVcIndex(p);
     for (int i = 0; i < p.numCandidates; ++i) {
         const LinkId link = p.candidates[i];
@@ -1144,8 +1280,10 @@ NetworkModel::tryForward(NodeId node, Packet &p, std::uint32_t slot,
             stale = true;  // reconfiguration invalidated the cache
             continue;
         }
-        if (linkBusyUntil_[link] > now || outputGrantAt_[link] == now)
+        if (linkBusyUntil_[link] > now || outputGrantAt_[link] == now) {
+            until = std::min(until, linkBusyUntil_[link]);
             continue;
+        }
         // Virtual cut-through: room for the entire packet
         // downstream — committed occupancy plus this node's own
         // pending reservations (the overlay), exactly what the
@@ -1165,8 +1303,10 @@ NetworkModel::tryForward(NodeId node, Packet &p, std::uint32_t slot,
         if (usable_count == 0)
             return false;
     }
-    if (usable_count == 0)
+    if (usable_count == 0) {
+        blocked_until = until;
         return false;
+    }
 
     // Adaptive selection (paper: prefer the greediest choice unless
     // its port queue passed the threshold, then take the lightest).
@@ -1196,10 +1336,8 @@ NetworkModel::tryForward(NodeId node, Packet &p, std::uint32_t slot,
             if (topo_->ringPosition(l.dst) <
                 topo_->ringPosition(node))
                 p.escapeVcBit = 1;  // crossed the dateline
-        } else {
-            ensureEscapeTables();
-            if (!updown_->isUp(link))
-                p.escapeUpPhase = false;
+        } else if (!upDownRouting().isUp(link)) {
+            p.escapeUpPhase = false;
         }
     }
 

@@ -158,6 +158,18 @@
  * interleaving only — every simulated event replays in σ-order —
  * so reports are byte-identical at every wavefront width,
  * including 0 (the plain serial decide→commit loop).
+ *
+ * Sleep/wake arbitration (docs/engine_phases.md): a failed forward
+ * attempt has no side effects, so decide records when each blocked
+ * head could next move (busy link, busy ejection port, or full
+ * downstream VC until a drain) and skips attempts that provably
+ * fail. A router whose every head holds such a proof sleeps until
+ * the earliest one expires or a wake event arrives (landing,
+ * inject, drain, reconfiguration). The drain signal crosses nodes,
+ * so decide buffers it and commit applies it, in σ-order like
+ * every other cross-node effect. The escape tables belong to the
+ * topology (net::Topology::upDownRouting), shared by every model
+ * on it.
  */
 
 #pragma once
@@ -306,6 +318,14 @@ class NetworkModel
     const net::Topology &topology() const { return *topo_; }
 
     /**
+     * The up*-down* escape tables this model routes with: fetched
+     * from the topology on first use and held until
+     * onTopologyChanged, so a gate the model has not been told
+     * about yet cannot swap tables under it.
+     */
+    const net::UpDownRouting &upDownRouting();
+
+    /**
      * Where every live packet currently sits — a full walk of the
      * engine's queues, for conservation-invariant tests. The sum of
      * the four locations must equal both liveSlots and inFlight()
@@ -330,15 +350,25 @@ class NetworkModel
     Accounting audit() const;
 
   private:
-    /** One virtual-channel input buffer (flat per link x VC). */
+    /**
+     * One virtual-channel input buffer (flat per link x VC). Kept at
+     * 32 bytes — two per cache line — because the arbitration scan
+     * walks these records every cycle. flitsReserved fits 16 bits
+     * because the VCT admission check caps it at cfg.vcDepth (the
+     * constructor rejects larger depths).
+     */
     struct VcState {
         PacketFifo fifo;
-        int flitsReserved = 0;  ///< includes packets still in flight
+        std::int16_t flitsReserved = 0;  ///< incl. packets in flight
+        bool inActiveList = false;       ///< O(1) activeVcs_ member?
         Cycle headSince = 0;
-        LinkId link = kInvalidLink;    ///< owning input port
-        std::uint16_t vcIndex = 0;     ///< VC within the port
-        bool inActiveList = false;     ///< O(1) activeVcs_ member?
+        LinkId link = kInvalidLink;      ///< owning input port
+        /** The head cannot move before this cycle (low 32 bits,
+         *  compared with wrap-around; see proofHolds) unless a
+         *  drain or a reconfiguration discards the proof. */
+        std::uint32_t proofUntil = 0;
     };
+    static_assert(sizeof(VcState) == 32, "VcState must stay 32 bytes");
 
     /** A packet in flight on a link (or a local loopback). */
     struct Arrival {
@@ -419,6 +449,13 @@ class NetworkModel
         bool progressed = false;
         std::vector<std::uint32_t> resVc;
         std::vector<int> resFlits;
+        /** Upstream node of every input VC this decide popped: the
+         *  drain signal, applied to drainCount_ at commit. */
+        std::vector<NodeId> drains;
+        // Work counters (NetStats), added at commit.
+        std::uint64_t forwardAttempts = 0;
+        std::uint64_t headsSkipped = 0;
+        bool slept = false;
 
         void
         clear()
@@ -428,6 +465,10 @@ class NetworkModel
             progressed = false;
             resVc.clear();
             resFlits.clear();
+            drains.clear();
+            forwardAttempts = 0;
+            headsSkipped = 0;
+            slept = false;
         }
     };
 
@@ -437,7 +478,11 @@ class NetworkModel
     struct WavefrontJob {
         std::atomic<std::uint64_t> tag{0};
         NodeId node = 0;
-        std::uint32_t needCommits = 0;
+        /** Atomic because a worker that observed kReady may read
+         *  it after the slot was recycled for a later position; the
+         *  stale value is then harmless (the exact-tag CAS fails),
+         *  but the read must not be a data race. */
+        std::atomic<std::uint32_t> needCommits{0};
         NodeEffects fx;
     };
 
@@ -457,8 +502,20 @@ class NetworkModel
      * every global effect buffered into @p fx instead of applied.
      * Mutates only node-owned state; safe to run concurrently for
      * nodes whose graph-adjacent σ-predecessors have committed.
+     * A sleeping router returns at once (see "Sleep/wake
+     * arbitration" in docs/engine_phases.md).
      */
     void decideNode(NodeId node, Cycle now, NodeEffects &fx);
+    /** The scan of decideNode: every listed VC head, then the
+     *  terminal port. */
+    void decideHeads(NodeId node, Cycle now, NodeEffects &fx);
+    /**
+     * After a decide without progress: the cycle until which every
+     * head of @p node provably stays blocked (derived from the
+     * final activeVcs_ list, not from the scan), or 0 when some
+     * head holds no proof.
+     */
+    Cycle sleepUntil(NodeId node, Cycle now) const;
     /** Serial σ-order replay of one node's buffered effect set. */
     void commitNode(NodeId node, Cycle now, NodeEffects &fx);
     /** Committed + this node's pending downstream reservation. */
@@ -517,12 +574,17 @@ class NetworkModel
      * applied directly; the cross-node consequences (reservation,
      * arrival push, delivery) are buffered into @p fx.
      *
+     * A failed attempt has no side effects beyond clearing a stale
+     * route, so it yields a proof: @p blocked_until is the earliest
+     * cycle at which the head could move, as long as no downstream
+     * VC drains first (`now` when there is no proof).
+     *
      * @return True when the packet left this router.
      */
     bool tryForward(NodeId node, Packet &p, std::uint32_t slot,
-                    Cycle now, bool from_source, NodeEffects &fx);
+                    Cycle now, bool from_source, NodeEffects &fx,
+                    Cycle &blocked_until);
     void activateNode(NodeId node);
-    void ensureEscapeTables() const;
     void recordDelivery(const Packet &p, Cycle delivered_at);
     void pushArrival(std::vector<Arrival> &heap, Arrival a);
     void popArrival(std::vector<Arrival> &heap);
@@ -544,6 +606,16 @@ class NetworkModel
     std::vector<Cycle> sourceBusyUntil_;
     std::vector<Cycle> ejectBusyUntil_;
     std::vector<std::uint32_t> pendingArrivals_;  ///< per node
+
+    // Sleep/wake arbitration (docs/engine_phases.md), per node.
+    /** Proof for the terminal-port head (as VcState::proofUntil). */
+    std::vector<std::uint32_t> sourceProof_;
+    /** The router sleeps while now < wakeAt_ and no drain arrived. */
+    std::vector<Cycle> wakeAt_;
+    /** Drains of VCs fed by the node's out-links (bumped at commit
+     *  by the downstream node) and the count its proofs saw. */
+    std::vector<std::uint32_t> drainCount_;
+    std::vector<std::uint32_t> drainSeen_;
 
     /** Flat VcState indices that may hold a head packet, per node. */
     std::vector<std::vector<std::uint32_t>> activeVcs_;
@@ -616,7 +688,8 @@ class NetworkModel
     std::vector<Cycle> wfSeqStamp_;    ///< per-node: sequenced cycle
     std::vector<std::uint32_t> wfSeqIdx_;  ///< per-node: σ-position
 
-    mutable std::unique_ptr<net::UpDownRouting> updown_;
+    /** This generation's escape tables (see upDownRouting()). */
+    std::shared_ptr<const net::UpDownRouting> escapeTables_;
     DeliverHandler onDeliver_;
     DropHandler onDrop_;
     NetStats stats_;

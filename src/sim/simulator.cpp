@@ -63,6 +63,9 @@ fillMeasuredStats(RunResult &result, const NetStats &stats)
     result.phaseRouteNs = stats.phaseRouteNs;
     result.phaseDecideNs = stats.phaseDecideNs;
     result.phaseCommitNs = stats.phaseCommitNs;
+    result.forwardAttempts = stats.forwardAttempts;
+    result.headsSkippedOnProof = stats.headsSkippedOnProof;
+    result.routerCyclesSlept = stats.routerCyclesSlept;
     result.droppedUnroutable = stats.droppedUnroutable;
     result.topologyEpochs = stats.topologyEpochs;
     if (stats.wavefrontCycles > 0) {

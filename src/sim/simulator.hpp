@@ -144,6 +144,12 @@ struct RunResult {
     std::uint64_t phaseRouteNs = 0;
     std::uint64_t phaseDecideNs = 0;
     std::uint64_t phaseCommitNs = 0;
+    /** Sleep/wake arbitration work counters (see NetStats):
+     *  implementation-dependent, so micro benches and tests print
+     *  them and reports never do. */
+    std::uint64_t forwardAttempts = 0;
+    std::uint64_t headsSkippedOnProof = 0;
+    std::uint64_t routerCyclesSlept = 0;
     /** Packets dropped because their destination was gated away
      *  mid-flight (elastic runs; 0 on immutable topologies). */
     std::uint64_t droppedUnroutable = 0;

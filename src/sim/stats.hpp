@@ -317,6 +317,17 @@ struct NetStats {
     std::uint64_t routeCacheRebuilds = 0;
 
     /**
+     * Sleep/wake arbitration work counters: tryForward calls, heads
+     * skipped because a proof showed the attempt would fail, and
+     * router-cycles skipped because every head held such a proof.
+     * Implementation-dependent, like routeCacheRebuilds: tests and
+     * micro benches read them; reports must not.
+     */
+    std::uint64_t forwardAttempts = 0;
+    std::uint64_t headsSkippedOnProof = 0;
+    std::uint64_t routerCyclesSlept = 0;
+
+    /**
      * Commit-wavefront cost model (SimConfig::profileWavefront):
      * the measured per-cycle structure of the serial arbitration
      * walk, collected so ROADMAP item 5 (out-of-order arbitration)

@@ -88,7 +88,10 @@ std::atomic<bool> g_cache_enabled{true};
 std::string
 sfVariant(const core::SFParams &p)
 {
-    std::string v = "p" + std::to_string(p.routerPorts);
+    // Appends only: GCC 12 flags `"p" + std::to_string(...)` with a
+    // false-positive -Wrestrict once inlined.
+    std::string v = "p";
+    v += std::to_string(p.routerPorts);
     v += p.linkMode == core::LinkMode::Unidirectional ? ",uni"
                                                       : ",bi";
     v += p.repairMode == core::RepairMode::AllSpaces ? ",as"
@@ -97,7 +100,8 @@ sfVariant(const core::SFParams &p)
                                                   : ",iid";
     v += p.buildShortcuts ? ",sc1" : ",sc0";
     v += p.twoHopTable ? ",th1" : ",th0";
-    v += ",cb" + std::to_string(p.coordBits);
+    v += ",cb";
+    v += std::to_string(p.coordBits);
     return v;
 }
 

@@ -146,8 +146,9 @@ TEST(GreedyRouting, FirstHopWidensLaterHopsCommit)
                 sf_net.routeCandidates(s, t, false, later);
             ASSERT_GE(n_first, 1u);
             EXPECT_LE(n_later, 1u);
-            if (n_later > 0 && n_first > 0)
+            if (n_later > 0 && n_first > 0) {
                 EXPECT_EQ(first[0], later[0]);
+            }
             widened += n_first > 1 ? 1 : 0;
         }
     }

@@ -126,8 +126,9 @@ TEST(LogHistogram, BucketGeometryIsMonotoneAndConsistent)
                       LogHistogram::bucketFloor(idx)),
                   idx)
             << v;
-        if (idx + 1 < LogHistogram::kBuckets)
+        if (idx + 1 < LogHistogram::kBuckets) {
             EXPECT_GT(LogHistogram::bucketFloor(idx + 1), v) << v;
+        }
         // ~3% worst-case relative error: floor within 1/32.
         EXPECT_LE(static_cast<double>(
                       v - LogHistogram::bucketFloor(idx)),

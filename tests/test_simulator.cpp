@@ -472,4 +472,159 @@ TEST(Reconfiguration, GatingDuringOperationDropsOnlyStrays)
               injected);
 }
 
+// ------------------------------------------------------------------
+// Sleep/wake arbitration: one hand-checked scenario per wake event.
+// A 2x3 mesh's top row 0-1-2 is a line (XY routing goes straight
+// along it). Every link has latency 1 and SerDes adds 1, so a
+// packet of F flits forwarded at cycle c lands at c + F + 1, and
+// one ejected at cycle c is delivered at c + F.
+
+/** Deliveries (packet id -> cycle) of a model, for the tests below. */
+struct DeliveryLog {
+    std::vector<std::pair<std::uint64_t, Cycle>> at;
+
+    void
+    attach(NetworkModel &net)
+    {
+        net.setDeliverHandler([this](const Packet &p, Cycle c) {
+            at.emplace_back(p.id, c);
+        });
+    }
+};
+
+TEST(SleepWake, BusyEjectionPortProofWakesOnExpiry)
+{
+    // 0->1 and 2->1 land at node 1 together at cycle 6. One ejects
+    // (delivered 11); the other is proven blocked until the port
+    // frees at 11. Cycle 7 lazily delists the drained VC, then node
+    // 1 sleeps through cycles 8-10 and ejects at 11 (delivered 16).
+    const topos::MeshTopology mesh(2, 3);
+    SimConfig cfg;
+    NetworkModel net(mesh, cfg);
+    DeliveryLog log;
+    log.attach(net);
+    net.inject(0, 1, 5, kRequest, 0);
+    net.inject(2, 1, 5, kRequest, 0);
+    for (Cycle c = 0; c < 40; ++c)
+        net.step(c);
+    ASSERT_EQ(log.at.size(), 2u);
+    EXPECT_EQ(log.at[0].second, 11u);
+    EXPECT_EQ(log.at[1].second, 16u);
+    EXPECT_EQ(net.stats().routerCyclesSlept, 3u);
+    EXPECT_EQ(net.stats().headsSkippedOnProof, 1u);
+}
+
+TEST(SleepWake, DrainWakesHeadBlockedOnFullDownstreamVc)
+{
+    // Two packets 0->2 with one-packet VCs (vcDepth 5). P1 leaves
+    // node 0 at cycle 0; node 0's terminal port is busy until 5
+    // (node 0 sleeps 2-4). At 5, P2 finds VC(0->1) full: a proof
+    // "until a drain", and node 0 sleeps. Node 1 forwards P1 at 6,
+    // after node 0 in σ-order, so node 0 still sleeps at 6; the
+    // drain signal wakes it at 7 and P2 leaves. P1: lands at 1 at
+    // 6, at 2 at 12, delivered 17. P2: 7 -> 13 -> 19, delivered 24.
+    // Without the drain wake P2 would never move.
+    const topos::MeshTopology mesh(2, 3);
+    SimConfig cfg;
+    cfg.vcDepth = 5;
+    NetworkModel net(mesh, cfg);
+    DeliveryLog log;
+    log.attach(net);
+    net.inject(0, 2, 5, kRequest, 0);
+    net.inject(0, 2, 5, kRequest, 0);
+    for (Cycle c = 0; c < 60; ++c)
+        net.step(c);
+    ASSERT_EQ(log.at.size(), 2u);
+    EXPECT_EQ(log.at[0].second, 17u);
+    EXPECT_EQ(log.at[1].second, 24u);
+    EXPECT_EQ(net.stats().routerCyclesSlept, 4u);
+}
+
+TEST(SleepWake, EscalationWhileAsleepHappensOnTheExactCycle)
+{
+    // A 60-flit packet 1->2 busies link 1->2 until cycle 60. A 5-flit
+    // packet 0->2 lands at node 1 at cycle 6 and is blocked on that
+    // link; its proof is capped at headSince + threshold + 1 = 27,
+    // so node 1 sleeps 7-26 and escalates the head at exactly 27.
+    // On the escape VC the head waits for the link until 60 (asleep
+    // 28-59), lands at node 2 at 66, and waits for the ejection port
+    // the big packet holds from 61 until 121 (node 2 asleep
+    // 67-120): deliveries at 121 and 126; 20 + 32 + 54 slept.
+    const topos::MeshTopology mesh(2, 3);
+    SimConfig cfg;
+    cfg.vcDepth = 64;
+    cfg.escapeThreshold = 20;
+    NetworkModel net(mesh, cfg);
+    DeliveryLog log;
+    log.attach(net);
+    net.inject(1, 2, 60, kRequest, 0);
+    net.inject(0, 2, 5, kRequest, 0);
+    for (Cycle c = 0; c < 27; ++c)
+        net.step(c);
+    EXPECT_EQ(net.stats().escapeTransfers, 0u);
+    net.step(27);
+    EXPECT_EQ(net.stats().escapeTransfers, 1u);
+    for (Cycle c = 28; c < 200; ++c)
+        net.step(c);
+    ASSERT_EQ(log.at.size(), 2u);
+    EXPECT_EQ(log.at[0].second, 121u);
+    EXPECT_EQ(log.at[1].second, 126u);
+    EXPECT_EQ(net.stats().escapeHops, 1u);
+    EXPECT_EQ(net.stats().routerCyclesSlept, 106u);
+}
+
+TEST(SleepWake, MidRunGateWakesSleepingRouter)
+{
+    // Node v ejects a 60-flit packet from in-neighbour a; a 5-flit
+    // packet from another in-neighbour b lands while the port is
+    // busy and v goes to sleep on the ejection proof. Gating v
+    // mid-wait must wake it on the very next step: the stranded
+    // packet's destination is gone, so it drops on that cycle.
+    core::StringFigure topo(sfParams(16, 4));
+    SimConfig cfg;
+    cfg.vcDepth = 64;
+    NetworkModel net(topo, cfg);
+    const net::Graph &g = topo.graph();
+    NodeId v = kInvalidNode;
+    NodeId a = kInvalidNode;
+    NodeId b = kInvalidNode;
+    for (NodeId u = 0; u < 16 && b == kInvalidNode; ++u) {
+        if (!topo.reconfig().canGate(u))
+            continue;
+        a = b = kInvalidNode;
+        for (const LinkId l : g.inLinks(u)) {
+            const NodeId src = g.link(l).src;
+            if (a == kInvalidNode)
+                a = src;
+            else if (src != a)
+                b = src;
+        }
+        if (b != kInvalidNode)
+            v = u;
+    }
+    ASSERT_NE(v, kInvalidNode);
+    std::vector<Cycle> drops;
+    net.setDropHandler(
+        [&](const Packet &, Cycle c) { drops.push_back(c); });
+    DeliveryLog log;
+    log.attach(net);
+    net.inject(a, v, 60, kRequest, 0);
+    Cycle c = 0;
+    for (; c < 70; ++c)
+        net.step(c);
+    ASSERT_EQ(log.at.size(), 1u);  // ejection recorded at its start
+    net.inject(b, v, 5, kRequest, c);
+    const std::uint64_t slept_before = net.stats().routerCyclesSlept;
+    for (; c < 100; ++c)
+        net.step(c);
+    ASSERT_TRUE(drops.empty());
+    EXPECT_GT(net.stats().routerCyclesSlept, slept_before + 10);
+    ASSERT_TRUE(topo.gate(v).applied);
+    net.onTopologyChanged();
+    net.step(c);
+    ASSERT_EQ(drops.size(), 1u);
+    EXPECT_EQ(drops[0], c);
+    EXPECT_EQ(net.inFlight(), 0u);
+}
+
 } // namespace

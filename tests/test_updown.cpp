@@ -5,8 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
+#include "core/string_figure.hpp"
 #include "net/graph.hpp"
 #include "net/updown.hpp"
+#include "sim/network.hpp"
 
 namespace {
 
@@ -108,6 +113,107 @@ TEST(UpDown, DirectedRingHasLimitedEscape)
         }
     }
     EXPECT_GT(unreachable, 0);
+}
+
+core::SFParams
+sfParams(std::size_t n, int ports)
+{
+    core::SFParams p;
+    p.numNodes = n;
+    p.routerPorts = ports;
+    p.seed = 1;
+    return p;
+}
+
+/** Every entry of @p ud equals a fresh build over the topology now. */
+void
+expectSameTables(const Topology &topo, const UpDownRouting &ud)
+{
+    std::vector<bool> alive(topo.numNodes());
+    for (NodeId u = 0; u < topo.numNodes(); ++u)
+        alive[u] = topo.nodeAlive(u);
+    const UpDownRouting fresh(topo.graph(), alive);
+    for (NodeId u = 0; u < topo.numNodes(); ++u) {
+        for (NodeId t = 0; t < topo.numNodes(); ++t) {
+            for (const bool up : {true, false})
+                ASSERT_EQ(ud.nextLink(u, t, up),
+                          fresh.nextLink(u, t, up))
+                    << u << "->" << t;
+        }
+    }
+}
+
+TEST(UpDown, TopologyBuildsTablesOnceOnFirstUse)
+{
+    const std::uint64_t before = UpDownRouting::buildCount();
+    const core::StringFigure topo(sfParams(64, 8));
+    EXPECT_EQ(UpDownRouting::buildCount(), before)
+        << "escape tables must not be built at construction";
+    // Eight threads race the first fetch of one shared topology's
+    // tables: exactly one build, one instance for all.
+    std::vector<std::shared_ptr<const UpDownRouting>> got(8);
+    std::vector<std::thread> threads;
+    for (std::size_t i = 0; i < got.size(); ++i)
+        threads.emplace_back(
+            [&topo, &got, i] { got[i] = topo.upDownRouting(); });
+    for (std::thread &t : threads)
+        t.join();
+    EXPECT_EQ(UpDownRouting::buildCount(), before + 1);
+    for (const auto &ud : got) {
+        ASSERT_NE(ud, nullptr);
+        EXPECT_EQ(ud.get(), got[0].get());
+    }
+    expectSameTables(topo, *got[0]);
+}
+
+TEST(UpDown, GateUngateAndReduceInvalidateTables)
+{
+    core::StringFigure topo(sfParams(64, 8));
+    const auto full = topo.upDownRouting();
+    NodeId victim = kInvalidNode;
+    for (NodeId u = 0; u < 64 && victim == kInvalidNode; ++u) {
+        if (topo.reconfig().canGate(u))
+            victim = u;
+    }
+    ASSERT_NE(victim, kInvalidNode);
+    ASSERT_TRUE(topo.gate(victim).applied);
+    const auto gated = topo.upDownRouting();
+    EXPECT_NE(gated.get(), full.get());
+    EXPECT_FALSE(gated->reachable(0 == victim ? 1 : 0, victim));
+    expectSameTables(topo, *gated);
+    // A holder of the old generation keeps its own tables.
+    EXPECT_TRUE(full->reachable(0 == victim ? 1 : 0, victim));
+
+    ASSERT_TRUE(topo.ungate(victim).applied);
+    const auto restored = topo.upDownRouting();
+    EXPECT_NE(restored.get(), gated.get());
+    expectSameTables(topo, *restored);
+
+    Rng rng(7);
+    ASSERT_FALSE(topo.reduceTo(48, rng).empty());
+    const auto reduced = topo.upDownRouting();
+    EXPECT_NE(reduced.get(), restored.get());
+    expectSameTables(topo, *reduced);
+}
+
+TEST(UpDown, ModelHoldsItsTablesUntilTopologyChanged)
+{
+    core::StringFigure topo(sfParams(64, 8));
+    sim::NetworkModel model(topo, sim::SimConfig{});
+    const UpDownRouting *held = &model.upDownRouting();
+    EXPECT_EQ(held, topo.upDownRouting().get());
+    NodeId victim = kInvalidNode;
+    for (NodeId u = 0; u < 64 && victim == kInvalidNode; ++u) {
+        if (topo.reconfig().canGate(u))
+            victim = u;
+    }
+    ASSERT_NE(victim, kInvalidNode);
+    ASSERT_TRUE(topo.gate(victim).applied);
+    // Not told yet: the model still routes with its generation.
+    EXPECT_EQ(&model.upDownRouting(), held);
+    EXPECT_NE(topo.upDownRouting().get(), held);
+    model.onTopologyChanged();
+    EXPECT_EQ(&model.upDownRouting(), topo.upDownRouting().get());
 }
 
 } // namespace
