@@ -70,12 +70,7 @@ adaptiveSpec()
                     // share the same immutable topology.
                     const auto topo = topos::cachedTopology(
                         sfParams(n, rc.baseSeed));
-                    sim::SimConfig cfg;
-                    cfg.seed = rc.seed;
-                    cfg.shards = rc.shards;
-                    cfg.routeCache = rc.routeCache;
-                    cfg.wavefront = rc.wavefront;
-                    cfg.policy = rc.policy;
+                    sim::SimConfig cfg = rc.simConfig();
                     cfg.adaptive = adaptive;
                     Json m = Json::object();
                     m.set("saturation_rate",
@@ -120,12 +115,7 @@ balanceSpec()
                 const auto topo = topos::cachedTopology(params);
                 const auto stats =
                     net::allPairsStats(topo->graph());
-                sim::SimConfig cfg;
-                cfg.seed = rc.seed;
-                cfg.shards = rc.shards;
-                cfg.routeCache = rc.routeCache;
-                cfg.wavefront = rc.wavefront;
-                cfg.policy = rc.policy;
+                sim::SimConfig cfg = rc.simConfig();
                 Json m = Json::object();
                 m.set("avg_hops", stats.average);
                 m.set("diameter", static_cast<std::int64_t>(
@@ -285,12 +275,7 @@ unidirSpec()
                     params.linkMode = mode;
                     const auto topo =
                         topos::cachedTopology(params);
-                    sim::SimConfig cfg;
-                    cfg.seed = rc.seed;
-                    cfg.shards = rc.shards;
-                    cfg.routeCache = rc.routeCache;
-                    cfg.wavefront = rc.wavefront;
-                    cfg.policy = rc.policy;
+                    sim::SimConfig cfg = rc.simConfig();
                     Json m = Json::object();
                     m.set("avg_hops",
                           net::allPairsStats(topo->graph())

@@ -37,18 +37,6 @@ namespace sf::exp {
 
 namespace {
 
-sim::SimConfig
-simConfigFor(const RunContext &rc)
-{
-    sim::SimConfig cfg;
-    cfg.seed = rc.seed;
-    cfg.shards = rc.shards;
-    cfg.routeCache = rc.routeCache;
-    cfg.wavefront = rc.wavefront;
-    cfg.policy = rc.policy;
-    return cfg;
-}
-
 /**
  * Metrics of one elastic run, in reporting order: the open-loop
  * tail cut, the elasticity aggregates, then per-wave degradation
@@ -192,8 +180,7 @@ elasticServingSpec()
                                     topos::randomTopologyPorts(n);
                                 params.seed = rc.baseSeed;
                                 core::StringFigure topo(params);
-                                const sim::SimConfig cfg =
-                                    simConfigFor(rc);
+                                const sim::SimConfig cfg = rc.simConfig();
                                 const sim::ArrivalConfig arrivals;
                                 const auto schedule =
                                     sim::planReconfigSchedule(

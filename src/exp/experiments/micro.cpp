@@ -358,10 +358,12 @@ resetPeakRss()
 }
 
 /**
- * The arbitration work counters of one run: forward attempts, heads
- * skipped on a proof, router-cycles slept. Implementation-dependent
- * (test-only, like routeCacheRebuilds): they show where sleep/wake
- * arbitration saves work and never appear in deterministic reports.
+ * The work counters of one run: forward attempts, heads skipped on a
+ * proof, router-cycles slept, and the packet-pool high-water mark.
+ * Implementation-dependent (test-only, like routeCacheRebuilds):
+ * they show where sleep/wake arbitration saves work and how many
+ * packets the run held at once, and never appear in deterministic
+ * reports.
  */
 void
 setWorkCounters(Json &m, const sim::RunResult &result)
@@ -369,6 +371,7 @@ setWorkCounters(Json &m, const sim::RunResult &result)
     m.set("forward_attempts", result.forwardAttempts);
     m.set("heads_skipped_on_proof", result.headsSkippedOnProof);
     m.set("router_cycles_slept", result.routerCyclesSlept);
+    m.set("pool_high_water", result.poolHighWater);
 }
 
 /**

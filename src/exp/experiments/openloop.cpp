@@ -28,18 +28,6 @@ namespace sf::exp {
 
 namespace {
 
-sim::SimConfig
-simConfigFor(const RunContext &rc)
-{
-    sim::SimConfig cfg;
-    cfg.seed = rc.seed;
-    cfg.shards = rc.shards;
-    cfg.routeCache = rc.routeCache;
-    cfg.wavefront = rc.wavefront;
-    cfg.policy = rc.policy;
-    return cfg;
-}
-
 /** Percentile metrics of one open-loop run, in reporting order.
  *  The percentile keys (p50/p95/p99/p999/max) are the ones
  *  `sfx diff` exact-compares regardless of tolerance. */
@@ -132,8 +120,7 @@ hockeyStickSpec()
                                 const auto topo =
                                     topos::cachedTopology(
                                         kind, n, rc.baseSeed);
-                                const sim::SimConfig cfg =
-                                    simConfigFor(rc);
+                                const sim::SimConfig cfg = rc.simConfig();
                                 sim::ArrivalConfig arrivals;
                                 arrivals.process = process;
                                 const auto r = sim::runOpenLoop(

@@ -12,7 +12,7 @@
  * The policy is a grid parameter here — each cell sets
  * SimConfig::policy itself — unlike the global `sfx --policy`
  * knob, which retargets entire sweeps. Everything else rides the
- * usual execution knobs (rc.shards / rc.routeCache), which stay
+ * usual execution knobs (RunContext::simConfig), which stay
  * byte-identical-invisible; the quick slice of this grid is
  * golden-pinned across the jobs x shards matrix in
  * tests/test_routing_policy.cpp.
@@ -100,11 +100,7 @@ routingBakeoffSpec()
                             const auto topo =
                                 topos::cachedTopology(
                                     kind, n, rc.baseSeed);
-                            sim::SimConfig cfg;
-                            cfg.seed = rc.seed;
-                            cfg.shards = rc.shards;
-                            cfg.routeCache = rc.routeCache;
-                            cfg.wavefront = rc.wavefront;
+                            sim::SimConfig cfg = rc.simConfig();
                             // The cell's policy, not the global
                             // --policy knob: the bake-off races
                             // policies against each other inside

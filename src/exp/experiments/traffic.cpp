@@ -24,24 +24,6 @@ namespace sf::exp {
 
 namespace {
 
-sim::SimConfig
-simConfigFor(const RunContext &rc)
-{
-    sim::SimConfig cfg;
-    // Traffic randomness follows the per-run derived seed;
-    // topology construction (below) follows the base seed so every
-    // run in a sweep simulates the same generated network.
-    cfg.seed = rc.seed;
-    // Route-plane sharding (`sfx --shards`) and the memoized route
-    // plane (`sfx --route-cache`): byte-identical at any setting,
-    // so execution knobs like jobs, not grid parameters.
-    cfg.shards = rc.shards;
-    cfg.routeCache = rc.routeCache;
-    cfg.wavefront = rc.wavefront;
-    cfg.policy = rc.policy;
-    return cfg;
-}
-
 ExperimentSpec
 fig10Spec()
 {
@@ -82,8 +64,7 @@ fig10Spec()
                                    const RunContext &rc) -> Json {
                         const auto topo = topos::cachedTopology(
                             kind, n, rc.baseSeed);
-                        const sim::SimConfig cfg =
-                            simConfigFor(rc);
+                        const sim::SimConfig cfg = rc.simConfig();
                         const double sat =
                             sim::findSaturationRate(
                                 *topo, pattern, cfg,
@@ -153,8 +134,7 @@ fig11Spec()
                             const auto topo =
                                 topos::cachedTopology(
                                     kind, n, rc.baseSeed);
-                            const sim::SimConfig cfg =
-                                simConfigFor(rc);
+                            const sim::SimConfig cfg = rc.simConfig();
                             const auto r = sim::runSynthetic(
                                 *topo, pattern, rate, cfg,
                                 sim::RunPhases::latencyCurve(),

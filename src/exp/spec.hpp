@@ -23,6 +23,7 @@
 
 #include "core/routing_policy.hpp"
 #include "exp/json.hpp"
+#include "sim/sim_config.hpp"
 
 namespace sf::sim {
 class Executor;
@@ -77,29 +78,27 @@ struct RunContext {
     sim::Executor *executor = nullptr;
     /**
      * Route-plane shards for cycle simulations (`sfx --shards`,
-     * sim::SimConfig::shards): bodies that run the flit simulator
-     * should copy this into their SimConfig and pass `executor`
-     * through, which parallelises *inside* one simulation. Like
-     * the executor, it must never affect results — the sharded
-     * engine is byte-identical at every shard count — so it is an
-     * execution knob, not part of the run grid or the spec hash.
+     * sim::SimConfig::shards): carried by simConfig(); bodies pass
+     * `executor` through, which parallelises *inside* one
+     * simulation. Like the executor, it must never affect results
+     * — the sharded engine is byte-identical at every shard count
+     * — so it is an execution knob, not part of the run grid or
+     * the spec hash.
      */
     int shards = 1;
     /**
      * Memoized route plane (`sfx --route-cache`,
-     * sim::SimConfig::routeCache): bodies that run the flit
-     * simulator should copy this into their SimConfig. Results are
-     * byte-identical on or off — a cached route is the same pure
-     * function's output — so, like shards, it is an execution knob
-     * kept only for A/B benchmarking, never part of the run grid
-     * or the spec hash.
+     * sim::SimConfig::routeCache): carried by simConfig(). Results
+     * are byte-identical on or off — a cached route is the same
+     * pure function's output — so, like shards, it is an execution
+     * knob kept only for A/B benchmarking, never part of the run
+     * grid or the spec hash.
      */
     bool routeCache = true;
     /**
      * Commit-wavefront width (`sfx --wavefront`,
-     * sim::SimConfig::wavefront): bodies that run the flit
-     * simulator should copy this into their SimConfig and pass
-     * `executor` through. The wavefront scheduler only changes
+     * sim::SimConfig::wavefront): carried by simConfig(); bodies
+     * pass `executor` through. The wavefront scheduler only changes
      * which thread runs a node's decide stage — commits replay in
      * exact serial σ-order — so results are byte-identical at
      * every width, and like shards/routeCache it is an execution
@@ -108,16 +107,34 @@ struct RunContext {
     int wavefront = 0;
     /**
      * Routing policy (`sfx --policy`, sim::SimConfig::policy):
-     * bodies that run the flit simulator should copy this into
-     * their SimConfig — UNLESS the policy is part of their own run
-     * grid (the routing_bakeoff family), in which case the cell
-     * wins. Unlike shards/routeCache this is NOT an execution
-     * knob: non-greedy policies change simulated events, so the
-     * driver records it in checkpoint metadata and reports, and
-     * refuses to override it on resume.
+     * carried by simConfig() — UNLESS the policy is part of a
+     * run's own grid (the routing_bakeoff family), in which case
+     * the cell wins. Unlike shards/routeCache this is NOT an
+     * execution knob: non-greedy policies change simulated events,
+     * so the driver records it in checkpoint metadata and reports,
+     * and refuses to override it on resume.
      */
     core::RoutingPolicyKind policy =
         core::RoutingPolicyKind::Greedy;
+
+    /**
+     * The SimConfig every flit-simulator body starts from: the
+     * per-run traffic seed plus the knobs above (shards,
+     * routeCache, wavefront, policy), plumbed here once. Bodies set
+     * their own grid parameters on top; a body whose grid owns the
+     * policy (routing_bakeoff) overrides it.
+     */
+    sim::SimConfig
+    simConfig() const
+    {
+        sim::SimConfig cfg;
+        cfg.seed = seed;
+        cfg.shards = shards;
+        cfg.routeCache = routeCache;
+        cfg.wavefront = wavefront;
+        cfg.policy = policy;
+        return cfg;
+    }
 };
 
 /** One independent unit of work inside an experiment. */

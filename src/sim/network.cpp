@@ -161,6 +161,8 @@ NetworkModel::inject(NodeId src, NodeId dst, int flits, MsgClass mc,
             "NetworkModel::inject during the wavefront walk");
     }
     const std::uint32_t slot = pool_.alloc();
+    stats_.poolHighWater = pool_.capacity();
+    minFlits_ = std::min(minFlits_, flits);
     Packet &p = pool_.at(slot);
     p.id = nextPacketId_++;
     p.src = src;
@@ -193,6 +195,26 @@ NetworkModel::inFlight() const
 {
     return stats_.injectedPackets - stats_.deliveredPackets -
            dropped_;
+}
+
+std::uint64_t
+NetworkModel::sourceBacklogFloor(Cycle now, Cycle check) const
+{
+    if (anyGated_ || check <= now)
+        return 0;
+    const Cycle f_min = static_cast<Cycle>(minFlits_);
+    std::uint64_t floor = 0;
+    for (NodeId u = 0; u < topo_->numNodes(); ++u) {
+        const std::uint64_t queued = sourceQueue_[u].size;
+        if (queued == 0)
+            continue;
+        const Cycle first = std::max(now + 1, sourceBusyUntil_[u]);
+        const std::uint64_t departures =
+            first > check ? 0 : (check - first + f_min) / f_min;
+        if (queued > departures)
+            floor += queued - departures;
+    }
+    return floor;
 }
 
 bool

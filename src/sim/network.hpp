@@ -177,6 +177,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -230,6 +231,24 @@ class NetworkModel
     {
         return sourceBacklog_;
     }
+
+    /**
+     * Called after step(@p now): a lower bound on
+     * sourceQueueBacklog() after step(@p check), for any
+     * @p check > @p now, whatever is injected in between, provided
+     * no packet shorter than every packet injected so far is
+     * injected (README, "Probes stop at their verdict").
+     *
+     * Injection only grows a source FIFO, and a terminal-port
+     * forward keeps the port busy for the packet's flits, so node u
+     * forwards at most D_u = ceil((check - first_u + 1) / f_min)
+     * packets, with first_u = max(now + 1, its port's busy-until
+     * cycle) and f_min the shortest packet seen; the floor is
+     * sum_u max(0, q_u - D_u). A source drop leaves the port free,
+     * and drops need a gated node, so with any node gated the floor
+     * is 0. O(n).
+     */
+    std::uint64_t sourceBacklogFloor(Cycle now, Cycle check) const;
 
     /** No buffered, queued, or in-flight traffic touches @p u. */
     bool nodeQuiescent(NodeId u) const;
@@ -603,6 +622,8 @@ class NetworkModel
     std::vector<VcState> vcs_;
     std::vector<PacketFifo> sourceQueue_;  ///< per node
     std::uint64_t sourceBacklog_ = 0;
+    /** Shortest packet injected so far (sourceBacklogFloor). */
+    int minFlits_ = std::numeric_limits<int>::max();
     std::vector<Cycle> sourceBusyUntil_;
     std::vector<Cycle> ejectBusyUntil_;
     std::vector<std::uint32_t> pendingArrivals_;  ///< per node
@@ -675,8 +696,9 @@ class NetworkModel
     /** Decide stages may be running on workers: inject() throws. */
     bool wfInWalk_ = false;
     /** True when the current topology epoch has gated nodes —
-     *  unroutable drops become possible and the ≥ 2-packet VC
-     *  stay-rule of classifyRemoval is no longer sound. */
+     *  unroutable drops become possible, so neither the ≥ 2-packet
+     *  VC stay-rule of classifyRemoval nor sourceBacklogFloor is
+     *  sound. */
     bool anyGated_ = false;
     // Sequencer scratch (reused; steady state allocates nothing).
     std::vector<NodeId> wfSlice_;      ///< virtual activeNodes_ walk

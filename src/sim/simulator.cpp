@@ -66,6 +66,7 @@ fillMeasuredStats(RunResult &result, const NetStats &stats)
     result.forwardAttempts = stats.forwardAttempts;
     result.headsSkippedOnProof = stats.headsSkippedOnProof;
     result.routerCyclesSlept = stats.routerCyclesSlept;
+    result.poolHighWater = stats.poolHighWater;
     result.droppedUnroutable = stats.droppedUnroutable;
     result.topologyEpochs = stats.topologyEpochs;
     if (stats.wavefrontCycles > 0) {
@@ -79,12 +80,19 @@ fillMeasuredStats(RunResult &result, const NetStats &stats)
     }
 }
 
-} // namespace
-
+/**
+ * The one synthetic-traffic cycle loop behind runSynthetic and
+ * runSaturationProbe. With @p stop_at_verdict set, the loop also
+ * ends as soon as sourceBacklogFloor proves that the next backlog
+ * check will fire: the full run would then stop there with
+ * saturated = true, so the verdict is already known (README,
+ * "Probes stop at their verdict").
+ */
 RunResult
-runSynthetic(const net::Topology &topo, TrafficPattern pattern,
-             double rate, const SimConfig &cfg,
-             const RunPhases &phases, Executor *executor)
+runSyntheticLoop(const net::Topology &topo, TrafficPattern pattern,
+                 double rate, const SimConfig &cfg,
+                 const RunPhases &phases, Executor *executor,
+                 bool stop_at_verdict)
 {
     NetworkModel net(topo, cfg);
     // Synthetic runs never reconfigure, so the whole run is one
@@ -139,6 +147,21 @@ runSynthetic(const net::Topology &topo, TrafficPattern pattern,
         if (cycle >= measure_end &&
             net.stats().measuredPackets >= measured_injected)
             break;  // drained
+        // The floor never exceeds the backlog, so it is only worth
+        // computing while the backlog itself is over the cap. The
+        // check at `next` must be reached: no drain exit (that
+        // needs cycle >= measure_end, and at measure_end the
+        // backlog check runs first), no hard end, no watchdog.
+        if (stop_at_verdict &&
+            net.sourceQueueBacklog() > backlog_cap) {
+            const Cycle next = (cycle | 0xff) + 1;
+            if (next <= measure_end && next < hard_end &&
+                next <= cfg.watchdogCycles &&
+                net.sourceBacklogFloor(cycle, next) > backlog_cap) {
+                result.saturated = true;
+                break;
+            }
+        }
     }
     if (cycle >= hard_end)
         result.saturated = true;
@@ -166,6 +189,26 @@ runSynthetic(const net::Topology &topo, TrafficPattern pattern,
         }
     }
     return result;
+}
+
+} // namespace
+
+RunResult
+runSynthetic(const net::Topology &topo, TrafficPattern pattern,
+             double rate, const SimConfig &cfg,
+             const RunPhases &phases, Executor *executor)
+{
+    return runSyntheticLoop(topo, pattern, rate, cfg, phases,
+                            executor, false);
+}
+
+RunResult
+runSaturationProbe(const net::Topology &topo, TrafficPattern pattern,
+                   double rate, const SimConfig &cfg,
+                   const RunPhases &phases, Executor *executor)
+{
+    return runSyntheticLoop(topo, pattern, rate, cfg, phases,
+                            executor, true);
 }
 
 namespace {
@@ -504,17 +547,15 @@ findSaturationRate(const net::Topology &topo, TrafficPattern pattern,
 {
     Executor &exec = executor ? *executor : serialExecutor();
 
-    // Memoised probe outcomes. A probe is a pure function of its
-    // rate — the traffic RNG seeds from cfg.seed alone — so probes
-    // may be evaluated in any order (including speculatively, in
-    // parallel) without changing what the serial search would pick.
-    std::map<double, RunResult> memo;
+    // Memoised probe verdicts (saturated or not). A probe is a
+    // pure function of its rate — the traffic RNG seeds from
+    // cfg.seed alone — so probes may be evaluated in any order
+    // (including speculatively, in parallel) without changing what
+    // the serial search would pick. Probes stop once their verdict
+    // is certain, so only the verdict is kept: the other fields of
+    // an early-stopped probe are partial.
+    std::map<double, bool> memo;
     double zero_load = -1.0; // < 0 until calibrated
-
-    const auto interpret = [&](const RunResult &r) {
-        const double latency_cap = std::max(3.0 * zero_load, 120.0);
-        return r.saturated || r.avgTotalLatency > latency_cap;
-    };
 
     // Walk the exact serial algorithm (geometric descent, then
     // bisection) against memoised outcomes; `assume` supplies
@@ -529,11 +570,9 @@ findSaturationRate(const net::Topology &topo, TrafficPattern pattern,
         bool blocked = false;
         double needs = 0.0;
         const auto sat = [&](double rate) {
-            if (zero_load >= 0.0) {
-                const auto it = memo.find(rate);
-                if (it != memo.end())
-                    return interpret(it->second);
-            }
+            const auto it = memo.find(rate);
+            if (it != memo.end())
+                return it->second;
             const auto ia = assume.find(rate);
             if (ia != assume.end())
                 return ia->second;
@@ -630,17 +669,25 @@ findSaturationRate(const net::Topology &topo, TrafficPattern pattern,
                     zero_load_result = zeroLoadLatency(
                         topo, cfg, pattern, executor);
                 else
-                    results[i] =
-                        runSynthetic(topo, pattern, batch[i], cfg,
-                                     phases, executor);
+                    results[i] = runSaturationProbe(
+                        topo, pattern, batch[i], cfg, phases,
+                        executor);
             });
         }
         exec.runAll(tasks);
+        // The zero-load calibration is the first probe the search
+        // needs, so it completes in (or before) the batch of every
+        // rate probe and the latency cap is known here.
+        if (std::find(batch.begin(), batch.end(), kZeroLoadProbe) !=
+            batch.end())
+            zero_load = zero_load_result;
+        const double latency_cap = std::max(3.0 * zero_load, 120.0);
         for (std::size_t i = 0; i < batch.size(); ++i) {
-            if (batch[i] == kZeroLoadProbe)
-                zero_load = zero_load_result;
-            else
-                memo.emplace(batch[i], std::move(results[i]));
+            if (batch[i] != kZeroLoadProbe)
+                memo.emplace(batch[i],
+                             results[i].saturated ||
+                                 results[i].avgTotalLatency >
+                                     latency_cap);
         }
     }
 }

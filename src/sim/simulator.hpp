@@ -150,6 +150,9 @@ struct RunResult {
     std::uint64_t forwardAttempts = 0;
     std::uint64_t headsSkippedOnProof = 0;
     std::uint64_t routerCyclesSlept = 0;
+    /** Packet-pool high-water mark (NetStats::poolHighWater):
+     *  implementation-dependent, never in reports. */
+    std::uint64_t poolHighWater = 0;
     /** Packets dropped because their destination was gated away
      *  mid-flight (elastic runs; 0 on immutable topologies). */
     std::uint64_t droppedUnroutable = 0;
@@ -177,6 +180,22 @@ RunResult runSynthetic(const net::Topology &topo,
                        const SimConfig &cfg,
                        const RunPhases &phases = {},
                        Executor *executor = nullptr);
+
+/**
+ * One probe of findSaturationRate: runSynthetic's loop, except that
+ * it stops as soon as NetworkModel::sourceBacklogFloor proves the
+ * next backlog check will find the network saturated (README,
+ * "Probes stop at their verdict"). Its verdict — saturated, or the
+ * average latency against a cap — is always runSynthetic's. When
+ * it stops early, saturated is true and every other field covers
+ * only the cycles simulated: exposed so tests can check the
+ * verdict and the stopping point, not for reporting.
+ */
+RunResult runSaturationProbe(const net::Topology &topo,
+                             TrafficPattern pattern, double rate,
+                             const SimConfig &cfg,
+                             const RunPhases &phases = {},
+                             Executor *executor = nullptr);
 
 /**
  * Run open-loop traffic: every live node injects on its own
@@ -249,7 +268,9 @@ double zeroLoadLatency(const net::Topology &topo,
  * need next speculatively and concurrently — and still selects the
  * exact rate the serial search would. With a null executor (or
  * availableParallelism() == 1) the probe sequence is identical to
- * the classic serial geometric-descent-plus-bisection.
+ * the classic serial geometric-descent-plus-bisection. Each probe
+ * (runSaturationProbe) stops once its verdict is certain, which
+ * changes no verdict and so no selected rate.
  */
 double findSaturationRate(const net::Topology &topo,
                           TrafficPattern pattern,

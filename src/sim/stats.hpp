@@ -328,6 +328,15 @@ struct NetStats {
     std::uint64_t routerCyclesSlept = 0;
 
     /**
+     * Packet-pool high-water mark: the most packets ever alive at
+     * once, i.e. the slab slots the run allocated (~76 B each). The
+     * deterministic stand-in for the run's peak memory; like
+     * routeCacheRebuilds it is implementation-dependent, so tests
+     * and micro benches read it and reports must not.
+     */
+    std::uint64_t poolHighWater = 0;
+
+    /**
      * Commit-wavefront cost model (SimConfig::profileWavefront):
      * the measured per-cycle structure of the serial arbitration
      * walk, collected so ROADMAP item 5 (out-of-order arbitration)
