@@ -23,6 +23,8 @@
 
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -34,12 +36,22 @@ namespace sf::core {
 /** Coordinate in [0, 1) on a virtual-space ring. */
 using Coord = double;
 
+/*
+ * Both distances are written without data-dependent branches: greedy
+ * routing evaluates them a few dozen times per route computation on
+ * effectively random coordinates, where branches mispredict half the
+ * time. For coordinates in [0, 1) each form returns exactly the
+ * value of its branching twin (|a - b| and b - a round
+ * symmetrically; 1 - d is exact for d in [0.5, 1]; adding +0.0 to a
+ * non-negative d is exact).
+ */
+
 /** Symmetric circular distance between two coordinates. */
 inline Coord
 circularDistance(Coord a, Coord b)
 {
-    const Coord d = a > b ? a - b : b - a;
-    return d <= 0.5 ? d : 1.0 - d;
+    const Coord d = std::fabs(a - b);
+    return std::min(d, 1.0 - d);  // d <= 0.5 ? d : 1 - d
 }
 
 /** Clockwise (increasing-coordinate) distance from @p a to @p b. */
@@ -47,7 +59,7 @@ inline Coord
 clockwiseDistance(Coord a, Coord b)
 {
     const Coord d = b - a;
-    return d >= 0.0 ? d : d + 1.0;
+    return d + (d < 0.0 ? 1.0 : 0.0);
 }
 
 /** Coordinate assignment policy. */

@@ -1,6 +1,7 @@
 #include "core/greedy_router.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 
 namespace sf::core {
@@ -16,12 +17,14 @@ GreedyRouter::distance(NodeId u, NodeId t) const
     const std::vector<Coord> &cu = vs.coords(u);
     const std::vector<Coord> &ct = vs.coords(t);
     const std::size_t spaces = cu.size();
+    // Branch-free min per link mode (see coordinates.hpp).
     Coord best = 2.0;
-    for (std::size_t s = 0; s < spaces; ++s) {
-        const Coord d = directed ? clockwiseDistance(cu[s], ct[s])
-                                 : circularDistance(cu[s], ct[s]);
-        if (d < best)
-            best = d;
+    if (directed) {
+        for (std::size_t s = 0; s < spaces; ++s)
+            best = std::min(best, clockwiseDistance(cu[s], ct[s]));
+    } else {
+        for (std::size_t s = 0; s < spaces; ++s)
+            best = std::min(best, circularDistance(cu[s], ct[s]));
     }
     return best;
 }
@@ -54,11 +57,22 @@ GreedyRouter::candidates(NodeId current, NodeId dest, bool widen,
         bool qualifies;   ///< some target strictly improves
     };
     // One plan per one-hop entry: a fixed stack array keeps the
-    // per-hop fast path allocation-free.
+    // per-hop fast path allocation-free. planOf maps a one-hop
+    // entry's table index (any TableEntry::parent value) to its
+    // plan, kNoPlan when it has none, so each two-hop entry finds
+    // its plan through its parent index.
+    constexpr std::uint8_t kNoPlan = 0xff;
+    static_assert(kMaxPlans < kNoPlan);
     Ranked plans[kMaxPlans];
+    std::array<std::uint8_t, 256> planOf;
+    planOf.fill(kNoPlan);
     std::size_t num_plans = 0;
-    for (const TableEntry &e : table.entries()) {
-        if (e.hops != 1 || !e.usable())
+    // One-hop entries come first in every table.
+    const std::vector<TableEntry> &entries = table.entries();
+    std::size_t i = 0;
+    for (; i < entries.size() && entries[i].hops == 1; ++i) {
+        const TableEntry &e = entries[i];
+        if (!e.usable())
             continue;
         if (e.node == dest) {
             // Direct delivery always wins outright.
@@ -69,27 +83,26 @@ GreedyRouter::candidates(NodeId current, NodeId dest, bool widen,
         if (num_plans >= kMaxPlans)
             continue;
         const Coord md = distance(e.node, dest);
+        planOf[i] = static_cast<std::uint8_t>(num_plans);
         plans[num_plans++] =
             Ranked{e.viaLink, e.node, md, md, md < md_here};
     }
 
     // Two-hop lookahead: fold each two-hop entry into the plan of
-    // its first-hop link. (Nothing to fold into when no one-hop
+    // its one-hop parent. (Nothing to fold into when no one-hop
     // plan exists, so the distance evaluations are skipped.)
     if (data_->params.twoHopTable && num_plans > 0) {
-        for (const TableEntry &e : table.entries()) {
-            if (e.hops != 2 || !e.usable())
+        for (; i < entries.size(); ++i) {
+            const TableEntry &e = entries[i];
+            if (!e.usable())
                 continue;
+            const std::uint8_t p = planOf[e.parent];
+            if (p == kNoPlan)
+                continue;
+            Ranked &plan = plans[p];
             const Coord md = distance(e.node, dest);
-            for (std::size_t i = 0; i < num_plans; ++i) {
-                Ranked &plan = plans[i];
-                if (plan.via != e.viaLink)
-                    continue;
-                if (md < plan.planValue)
-                    plan.planValue = md;
-                if (md < md_here)
-                    plan.qualifies = true;
-            }
+            plan.planValue = std::min(plan.planValue, md);
+            plan.qualifies |= md < md_here;
         }
     }
 

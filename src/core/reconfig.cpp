@@ -4,7 +4,6 @@
 #include <cassert>
 #include <numeric>
 #include <sstream>
-#include <unordered_set>
 
 namespace sf::core {
 
@@ -39,6 +38,8 @@ ReconfigEngine::ReconfigEngine(SFTopologyData &data,
     }
     if (tables_->numNodes() != n)
         tables_->rebuildAll(data_->graph);
+    nodeMark_.assign(n, 0);
+    wireMark_.assign(data_->graph.numLinks(), 0);
 }
 
 bool
@@ -144,17 +145,30 @@ ReconfigEngine::freePortAt(NodeId x, bool dry_run)
     return true;
 }
 
+std::uint32_t
+ReconfigEngine::freshStamp()
+{
+    if (++stamp_ == 0) {  // wrapped: forget every old mark
+        std::fill(nodeMark_.begin(), nodeMark_.end(), 0);
+        std::fill(wireMark_.begin(), wireMark_.end(), 0);
+        stamp_ = 1;
+    }
+    return stamp_;
+}
+
 void
 ReconfigEngine::settleWires(const std::vector<LinkId> &candidates,
                             ReconfigResult &result)
 {
-    // Dedupe to canonical wire handles.
+    // Dedupe to canonical wire handles, keeping first-seen order.
+    const std::uint32_t stamp = freshStamp();
     std::vector<LinkId> wires;
     for (LinkId id : candidates) {
         const LinkId canon = canonicalId(data_->graph, id);
-        if (std::find(wires.begin(), wires.end(), canon) ==
-            wires.end())
+        if (wireMark_[canon] != stamp) {
+            wireMark_[canon] = stamp;
             wires.push_back(canon);
+        }
     }
 
     // Pass 1: drop wires that lost their purpose (frees ports).
@@ -167,25 +181,27 @@ ReconfigEngine::settleWires(const std::vector<LinkId> &candidates,
 
     // Pass 2: bring up desired wires, ring repairs first so that
     // scarce ports go to connectivity before throughput extras.
-    std::stable_sort(wires.begin(), wires.end(),
-                     [&](LinkId a, LinkId b) {
-                         const auto rank = [&](LinkId id) {
-                             const net::Link &l =
-                                 data_->graph.link(id);
-                             const bool ring =
-                                 alive_[l.src] && alive_[l.dst] &&
-                                 (ringUse(l.src, l.dst) ||
-                                  (bidir() &&
-                                   ringUse(l.dst, l.src)));
-                             if (ring)
-                                 return 0;
-                             return l.kind == net::LinkKind::Pairing
-                                        ? 1 : 2;
-                         };
-                         return rank(a) < rank(b);
-                     });
+    // A stable bucket pass over a rank computed once per wire (the
+    // rank reads liveness and kind only, never enable state).
+    std::vector<std::uint8_t> rank(wires.size());
+    for (std::size_t i = 0; i < wires.size(); ++i) {
+        const net::Link &l = data_->graph.link(wires[i]);
+        const bool ring = alive_[l.src] && alive_[l.dst] &&
+                          (ringUse(l.src, l.dst) ||
+                           (bidir() && ringUse(l.dst, l.src)));
+        rank[i] = ring ? 0
+                       : (l.kind == net::LinkKind::Pairing ? 1 : 2);
+    }
+    std::vector<LinkId> ordered;
+    ordered.reserve(wires.size());
+    for (std::uint8_t r = 0; r < 3; ++r) {
+        for (std::size_t i = 0; i < wires.size(); ++i) {
+            if (rank[i] == r)
+                ordered.push_back(wires[i]);
+        }
+    }
     const int budget = data_->portBudget();
-    for (LinkId id : wires) {
+    for (LinkId id : ordered) {
         const net::Link &l = data_->graph.link(id);
         if (wireEnabled(id) || !wireDesired(id))
             continue;
@@ -230,23 +246,35 @@ ReconfigEngine::incidentWires(const std::vector<NodeId> &nodes) const
 }
 
 std::vector<NodeId>
-ReconfigEngine::tableScope(const std::vector<NodeId> &changed) const
+ReconfigEngine::tableScope(const std::vector<NodeId> &changed)
 {
+    // Every node within two enabled hops upstream of a changed
+    // node (its table can hold a changed node as a 1- or 2-hop
+    // entry): a two-layer reverse BFS with stamped membership.
     const net::Graph &g = data_->graph;
-    std::unordered_set<NodeId> scope;
-    const auto add_sources = [&](NodeId c, auto &&self,
-                                 int depth) -> void {
-        scope.insert(c);
-        if (depth == 0)
-            return;
-        for (LinkId id : g.inLinks(c)) {
-            if (g.link(id).enabled)
-                self(g.link(id).src, self, depth - 1);
+    const std::uint32_t stamp = freshStamp();
+    std::vector<NodeId> scope;
+    for (NodeId c : changed) {
+        if (nodeMark_[c] != stamp) {
+            nodeMark_[c] = stamp;
+            scope.push_back(c);
         }
-    };
-    for (NodeId c : changed)
-        add_sources(c, add_sources, 2);
-    return {scope.begin(), scope.end()};
+    }
+    std::size_t layer_begin = 0;
+    for (int depth = 0; depth < 2; ++depth) {
+        const std::size_t layer_end = scope.size();
+        for (std::size_t i = layer_begin; i < layer_end; ++i) {
+            for (LinkId id : g.inLinks(scope[i])) {
+                const net::Link &l = g.link(id);
+                if (l.enabled && nodeMark_[l.src] != stamp) {
+                    nodeMark_[l.src] = stamp;
+                    scope.push_back(l.src);
+                }
+            }
+        }
+        layer_begin = layer_end;
+    }
+    return scope;
 }
 
 void

@@ -135,7 +135,7 @@ class ReconfigEngine
     bool freePortAt(NodeId x, bool dry_run);
     /** Nodes whose tables can reference any node in @p changed. */
     std::vector<NodeId>
-    tableScope(const std::vector<NodeId> &changed) const;
+    tableScope(const std::vector<NodeId> &changed);
     /** All fabricated wires touching any node in @p nodes. */
     std::vector<LinkId>
     incidentWires(const std::vector<NodeId> &nodes) const;
@@ -144,6 +144,8 @@ class ReconfigEngine
     /** Re-evaluate candidate wires; disables first, then enables. */
     void settleWires(const std::vector<LinkId> &candidates,
                      ReconfigResult &result);
+    /** A stamp no mark in nodeMark_/wireMark_ holds yet. */
+    std::uint32_t freshStamp();
 
     SFTopologyData *data_;
     RoutingTables *tables_;
@@ -153,6 +155,14 @@ class ReconfigEngine
     std::vector<std::vector<NodeId>> liveNext_;
     std::vector<std::vector<NodeId>> livePrev_;
     Stats stats_;
+    /**
+     * Membership marks for linear dedup (per node, per link): an
+     * element is in the current set when its mark equals the
+     * stamp freshStamp() handed out for that set.
+     */
+    std::vector<std::uint32_t> nodeMark_;
+    std::vector<std::uint32_t> wireMark_;
+    std::uint32_t stamp_ = 0;
 };
 
 } // namespace sf::core

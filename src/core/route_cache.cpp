@@ -5,9 +5,11 @@
 namespace sf::core {
 
 RouteCache::RouteCache(const net::Topology &topo)
-    : topo_(&topo), n_(topo.numNodes()), committed_(n_),
-      firstHop_(n_)
+    : topo_(&topo), n_(topo.numNodes()), version_(n_),
+      committed_(n_), firstHop_(n_)
 {
+    for (NodeId u = 0; u < n_; ++u)
+        version_[u] = topo.routeVersion(u);
     // The one-byte committed encoding reserves three sentinels, so
     // out-link indices must stay below kNoRoute. Every topology in
     // this library has out-degree under 16; a hypothetical denser
@@ -20,6 +22,27 @@ RouteCache::RouteCache(const net::Topology &topo)
             break;
         }
     }
+}
+
+RouteCache::Revalidation
+RouteCache::revalidate()
+{
+    Revalidation r;
+    for (NodeId u = 0; u < n_; ++u) {
+        const std::size_t rows =
+            (committed_[u] ? 1 : 0) + (firstHop_[u] ? 1 : 0);
+        const std::uint64_t now = topo_->routeVersion(u);
+        if (now != net::Topology::kUnversioned &&
+            now == version_[u]) {
+            r.kept += rows;
+            continue;
+        }
+        version_[u] = now;
+        committed_[u].reset();
+        firstHop_[u].reset();
+        r.dropped += rows;
+    }
+    return r;
 }
 
 std::size_t

@@ -12,9 +12,12 @@
  * (net::kMaxRouteCandidates), so a repeat lookup is one or two
  * array reads. A cached value is literally the same pure function's
  * output, so the simulated event stream is byte-identical with the
- * cache on or off — validity rests only on the topology staying
- * immutable (see docs/greedy_routing.md; NetworkModel retires the
- * cache on any reconfiguration).
+ * cache on or off — validity rests only on the answers at a row's
+ * node staying unchanged (see docs/greedy_routing.md). Within a
+ * topology generation everything is immutable; across one,
+ * NetworkModel calls revalidate(), which keeps a node's rows only
+ * when net::Topology::routeVersion says its routing state did not
+ * move and drops them otherwise.
  *
  * Two independent tables, both lazily filled on first miss:
  *
@@ -57,8 +60,9 @@ namespace sf::core {
 /**
  * Memoizes `topo.routeCandidates(current, dest, first_hop, out)`
  * for spans of net::kMaxRouteCandidates entries (the simulator's
- * packet-record size). One instance per NetworkModel; valid only
- * while the topology is immutable.
+ * packet-record size). One instance per NetworkModel; valid while
+ * the topology is immutable, and again after each reconfiguration
+ * once revalidate() has run.
  */
 class RouteCache
 {
@@ -81,6 +85,21 @@ class RouteCache
      */
     std::size_t candidates(NodeId current, NodeId dest,
                            bool first_hop, std::span<LinkId> out);
+
+    /** Rows kept and dropped by one revalidate() call. */
+    struct Revalidation {
+        std::size_t kept = 0;
+        std::size_t dropped = 0;
+    };
+
+    /**
+     * Bring the cache to a new topology generation: a node's rows
+     * (committed and first-hop) survive when its routeVersion is
+     * tracked and unchanged since they were filled, and are dropped
+     * otherwise. Call only between generations, never concurrently
+     * with lookups.
+     */
+    Revalidation revalidate();
 
     /** Committed-table rows allocated so far (tests/bench). */
     std::size_t committedRows() const;
@@ -110,6 +129,8 @@ class RouteCache
     const net::Topology *topo_;
     std::size_t n_;
     bool active_ = false;
+    /** Per node: the routeVersion its rows answer for. */
+    std::vector<std::uint64_t> version_;
     /** Per-`current` rows of n_ bytes, allocated on first touch. */
     std::vector<std::unique_ptr<std::uint8_t[]>> committed_;
     /** Per-`current` rows of n_ entries, allocated on first touch. */

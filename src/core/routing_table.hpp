@@ -29,20 +29,32 @@ struct TableEntry {
     NodeId node = kInvalidNode;  ///< The 1-/2-hop neighbour.
     LinkId viaLink = kInvalidLink;  ///< First-hop link toward it.
     std::uint8_t hops = 1;       ///< Hop bit: 1 or 2.
+    /**
+     * Index (in the table) of the one-hop entry this entry is
+     * reached through; a one-hop entry's own index. One-hop entries
+     * come first, so the index fits a byte whenever the router has
+     * at most 255 distinct neighbours (checked at build).
+     */
+    std::uint8_t parent = 0;
     bool valid = true;
     bool blocking = false;
 
     /** Usable for forwarding decisions right now? */
     bool usable() const { return valid && !blocking; }
-};
 
-/** Routing table of a single router. */
+    bool operator==(const TableEntry &) const = default;
+};
+// The parent index rides in what was padding: routing reads these
+// rows on every table scan, so they stay 12 bytes.
+static_assert(sizeof(TableEntry) == 12);
+
+/**
+ * Routing table of a single router. Rebuilt by RoutingTables, which
+ * owns the build scratch.
+ */
 class RoutingTable
 {
   public:
-    /** Rebuild from the enabled out-links of @p self in @p g. */
-    void rebuild(NodeId self, const net::Graph &g);
-
     const std::vector<TableEntry> &entries() const { return entries_; }
 
     /** Set the blocking bit on every entry referring to @p node. */
@@ -51,8 +63,20 @@ class RoutingTable
     /** Number of entries (valid or not). */
     std::size_t size() const { return entries_.size(); }
 
+    /**
+     * Changes whenever the entries do: a rebuild that produced
+     * different entries, or a setBlocking that flipped a bit. Equal
+     * versions mean equal entries, so anything derived from this
+     * table alone (the greedy candidates at this router) is still
+     * valid.
+     */
+    std::uint64_t version() const { return version_; }
+
   private:
+    friend class RoutingTables;
+
     std::vector<TableEntry> entries_;
+    std::uint64_t version_ = 0;
 };
 
 /** All routers' tables plus bookkeeping. */
@@ -64,7 +88,12 @@ class RoutingTables
     /** Build tables for every node of @p g. */
     void rebuildAll(const net::Graph &g);
 
-    /** Rebuild the table of one node after local link changes. */
+    /**
+     * Rebuild the table of one node after local link changes from
+     * the enabled out-links of @p u and of its neighbours. The
+     * version moves only if the entries differ from the current
+     * ones.
+     */
     void rebuildNode(NodeId u, const net::Graph &g);
 
     const RoutingTable &table(NodeId u) const { return tables_[u]; }
@@ -78,6 +107,14 @@ class RoutingTables
   private:
     std::vector<RoutingTable> tables_;
     std::size_t maxEntries_ = 0;
+    /**
+     * Build scratch: the fresh entries (swapped with the table's
+     * when they differ, so steady-state rebuilds allocate nothing)
+     * and a per-node stamp marking nodes already entered.
+     */
+    std::vector<TableEntry> scratch_;
+    std::vector<std::uint32_t> seen_;
+    std::uint32_t stamp_ = 0;
 };
 
 } // namespace sf::core

@@ -47,6 +47,11 @@ class StringFigure : public net::Topology
     std::size_t routeCandidates(NodeId current, NodeId dest,
                                 bool first_hop,
                                 std::span<LinkId> out) const override;
+    /** Greedy candidates at @p u read only u's routing table. */
+    std::uint64_t routeVersion(NodeId u) const override
+    {
+        return tables_.table(u).version();
+    }
     LinkId escapeLink(NodeId current, NodeId dest) const override;
     net::EscapeScheme escapeScheme() const override
     {

@@ -92,6 +92,24 @@ class Topology
                                         std::span<LinkId> out)
         const = 0;
 
+    /** routeVersion() of a topology that does not track versions. */
+    static constexpr std::uint64_t kUnversioned = ~std::uint64_t{0};
+
+    /**
+     * Version of the routing state at @p u: routeCandidates(u, ·, ·)
+     * returns the same answers for as long as this number does not
+     * change. A reconfigurable topology moves it only at the nodes
+     * a reconfiguration actually changed, so memoized answers
+     * elsewhere survive the generation. kUnversioned (the default)
+     * promises nothing: memoized rows at @p u are dropped at every
+     * generation.
+     */
+    virtual std::uint64_t routeVersion(NodeId u) const
+    {
+        (void)u;
+        return kUnversioned;
+    }
+
     /**
      * Number of deadlock-avoidance virtual-channel classes the
      * routing function needs (String Figure: 2).

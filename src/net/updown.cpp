@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <numeric>
 #include <stdexcept>
 
 #include "net/paths.hpp"
@@ -20,18 +19,22 @@ std::atomic<std::uint64_t> UpDownRouting::builds_{0};
 
 UpDownRouting::UpDownRouting(const Graph &g,
                              const std::vector<bool> &alive)
-    : graph_(&g), n_(g.numNodes())
+    : graph_(&g), n_(g.numNodes()),
+      // Value-initialised: every column starts unbuilt (null).
+      columns_(std::make_unique<std::atomic<const std::uint8_t *>[]>(
+          n_))
 {
     builds_.fetch_add(1, std::memory_order_relaxed);
-    const auto is_alive = [&](NodeId u) {
-        return alive.empty() || alive[u];
-    };
+    alive_ = alive.empty() ? std::vector<bool>(n_, true) : alive;
     for (NodeId u = 0; u < n_; ++u) {
         if (g.outLinks(u).size() >= kNone)
             throw std::invalid_argument(
                 "UpDownRouting: out-degree exceeds the one-byte "
                 "table index");
     }
+    const auto usable = [&](const Link &l) {
+        return l.enabled && alive_[l.src] && alive_[l.dst];
+    };
 
     // Tree levels: BFS from the first live node over the enabled
     // links treated as undirected (the escape network only needs a
@@ -40,101 +43,123 @@ UpDownRouting::UpDownRouting(const Graph &g,
     for (LinkId id = 0;
          id < static_cast<LinkId>(g.numLinks()); ++id) {
         const Link &l = g.link(id);
-        if (l.enabled && is_alive(l.src) && is_alive(l.dst)) {
+        if (usable(l)) {
             undirected.addLink(l.src, l.dst);
             undirected.addLink(l.dst, l.src);
         }
     }
     NodeId root = kInvalidNode;
     for (NodeId u = 0; u < n_ && root == kInvalidNode; ++u) {
-        if (is_alive(u))
+        if (alive_[u])
             root = u;
     }
     std::vector<std::uint16_t> level(n_, kUnreachable);
     if (root != kInvalidNode)
         level = bfsDistances(undirected, root);
 
-    // Link classification: "up" strictly ascends (level, id).
+    // Link classification: "up" strictly ascends (level, id). The
+    // usable classes freeze this generation's enabled links and
+    // liveness for the lazy column builds.
     isUp_.assign(g.numLinks(), false);
+    class_.assign(g.numLinks(), kUnusable);
     for (LinkId id = 0;
          id < static_cast<LinkId>(g.numLinks()); ++id) {
         const Link &l = g.link(id);
         isUp_[id] = std::pair(level[l.dst], l.dst) <
                     std::pair(level[l.src], l.src);
+        if (usable(l))
+            class_[id] = isUp_[id] ? kUp : kDown;
     }
 
     // Node processing order for the up-phase DP: ascending (level,
     // id), so every up link's target is processed before its source.
-    std::vector<NodeId> order(n_);
-    std::iota(order.begin(), order.end(), 0u);
-    std::sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
+    for (NodeId u = 0; u < n_; ++u) {
+        if (alive_[u])
+            order_.push_back(u);
+    }
+    std::sort(order_.begin(), order_.end(), [&](NodeId a, NodeId b) {
         return std::pair(level[a], a) < std::pair(level[b], b);
     });
+}
 
-    nextUpPhase_.assign(n_ * n_, kNone);
-    nextDownPhase_.assign(n_ * n_, kNone);
-    std::vector<std::uint32_t> d_down(n_);
-    std::vector<std::uint32_t> d_any(n_);
-    std::vector<NodeId> queue;
-    queue.reserve(n_);
+std::size_t
+UpDownRouting::columnsBuilt() const
+{
+    const std::lock_guard<std::mutex> lock(mutex_);
+    std::size_t built = 0;
+    for (std::size_t t = 0; t < n_; ++t)
+        built += columns_[t].load(std::memory_order_relaxed) ? 1 : 0;
+    return built;
+}
 
-    for (NodeId t = 0; t < n_; ++t) {
-        if (!is_alive(t))
-            continue;
-        std::uint8_t *down = nextDownPhase_.data() + t * n_;
-        std::uint8_t *up = nextUpPhase_.data() + t * n_;
+const std::uint8_t *
+UpDownRouting::buildColumn(NodeId t) const
+{
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (const std::uint8_t *column =
+            columns_[t].load(std::memory_order_relaxed))
+        return column;  // another thread won the race
+    const Graph &g = *graph_;
+    auto owned = std::make_unique<std::uint8_t[]>(2 * n_);
+    std::uint8_t *down = owned.get();
+    std::uint8_t *up = down + n_;
+    std::fill_n(down, 2 * n_, kNone);
+
+    if (alive_[t]) {
         // Down-phase distances: BFS from t over reversed down links.
-        std::fill(d_down.begin(), d_down.end(), kInf);
-        d_down[t] = 0;
-        queue.assign(1, t);
-        for (std::size_t head = 0; head < queue.size(); ++head) {
-            const NodeId v = queue[head];
+        std::vector<std::uint32_t> &dist = dist_;
+        dist.assign(n_, kInf);
+        dist[t] = 0;
+        queue_.assign(1, t);
+        for (std::size_t head = 0; head < queue_.size(); ++head) {
+            const NodeId v = queue_[head];
             for (LinkId id : g.inLinks(v)) {
-                const Link &l = g.link(id);
-                if (!l.enabled || isUp_[id] || !is_alive(l.src))
-                    continue;
-                if (d_down[l.src] == kInf) {
-                    d_down[l.src] = d_down[v] + 1;
-                    queue.push_back(l.src);
+                const NodeId src = g.link(id).src;
+                if (class_[id] == kDown && dist[src] == kInf) {
+                    dist[src] = dist[v] + 1;
+                    queue_.push_back(src);
                 }
             }
         }
         for (NodeId u = 0; u < n_; ++u) {
-            if (d_down[u] == kInf || u == t || !is_alive(u))
+            if (dist[u] == kInf || u == t)
                 continue;
             const std::vector<LinkId> &out = g.outLinks(u);
             for (std::size_t i = 0; i < out.size(); ++i) {
-                const Link &l = g.link(out[i]);
-                if (l.enabled && !isUp_[out[i]] && is_alive(l.dst) &&
-                    d_down[l.dst] + 1 == d_down[u]) {
+                if (class_[out[i]] == kDown &&
+                    dist[g.link(out[i]).dst] + 1 == dist[u]) {
                     down[u] = static_cast<std::uint8_t>(i);
                     break;
                 }
             }
         }
 
-        // Up-phase DP in ascending (level, id) order: an up link's
-        // destination always precedes its source, so d_any of the
-        // target is final when the source is processed.
-        std::copy(d_down.begin(), d_down.end(), d_any.begin());
-        for (NodeId u : order) {
-            if (u == t || !is_alive(u))
+        // Up-phase DP in ascending (level, id) order over the same
+        // distances, now "any phase": an up link's destination
+        // always precedes its source, so its distance is final when
+        // the source is processed.
+        for (NodeId u : order_) {
+            if (u == t)
                 continue;
             std::uint8_t best = down[u];
             const std::vector<LinkId> &out = g.outLinks(u);
             for (std::size_t i = 0; i < out.size(); ++i) {
-                const Link &l = g.link(out[i]);
-                if (!l.enabled || !isUp_[out[i]] || !is_alive(l.dst))
+                if (class_[out[i]] != kUp)
                     continue;
-                if (d_any[l.dst] != kInf &&
-                    d_any[l.dst] + 1 < d_any[u]) {
-                    d_any[u] = d_any[l.dst] + 1;
+                const std::uint32_t via = dist[g.link(out[i]).dst];
+                if (via != kInf && via + 1 < dist[u]) {
+                    dist[u] = via + 1;
                     best = static_cast<std::uint8_t>(i);
                 }
             }
             up[u] = best;
         }
     }
+
+    const std::uint8_t *column = owned.get();
+    storage_.push_back(std::move(owned));
+    columns_[t].store(column, std::memory_order_release);
+    return column;
 }
 
 } // namespace sf::net

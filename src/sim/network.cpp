@@ -281,17 +281,18 @@ NetworkModel::onTopologyChanged()
         // wakes it if it sleeps.
         ++drainCount_[node];
     }
-    // The memoized plane is a per-epoch object: retire the old
-    // epoch's tables and rebuild fresh ones against the new
-    // topology, after the policy has rebuilt its own tables. Runs
-    // on the serial engine thread at a cycle barrier (the route
-    // executor is quiescent between steps), so neither teardown
-    // nor rebuild can race a route-plane shard.
-    const bool rebuild = routeCache_ != nullptr;
-    routeCache_.reset();
+    // The memoized plane follows the topology into the new epoch:
+    // rows whose node's routing version did not move are still the
+    // pure function's answers and stay; every other row is dropped
+    // and refills lazily. Runs on the serial engine thread at a
+    // cycle barrier (the route executor is quiescent between
+    // steps), so the revalidation cannot race a route-plane shard.
     policy_->onTopologyChanged();
-    if (rebuild) {
-        enableRouteCache();
+    if (routeCache_) {
+        const core::RouteCache::Revalidation r =
+            routeCache_->revalidate();
+        stats_.routeCacheRowsKept += r.kept;
+        stats_.routeCacheRowsDropped += r.dropped;
         ++stats_.routeCacheRebuilds;
     }
 }

@@ -92,12 +92,12 @@
  * only looks up its own contiguous node block, and the serial loop
  * only touches the cache outside the route phase (the executor
  * barrier), so the lazy fills are single-writer per row and need
- * no atomics. The cache is a per-epoch object: onTopologyChanged
- * retires the current instance and immediately rebuilds a fresh
- * one against the new topology (counted in
- * NetStats::routeCacheRebuilds), so memoization stays engaged
- * across reconfig boundaries and every cached row belongs to
- * exactly one epoch.
+ * no atomics. The cache outlives reconfiguration: at each epoch
+ * boundary onTopologyChanged revalidates it (counted in
+ * NetStats::routeCacheRebuilds), keeping the rows of every node
+ * whose net::Topology::routeVersion did not move and dropping the
+ * rest, so memoization stays engaged across reconfig boundaries
+ * and every cached row is the current epoch's answer.
  *
  * Routing-policy seam (cfg.policy + core/routing_policy.hpp): every
  * normal-VC route query goes through one RoutingPolicy::route()
@@ -272,10 +272,10 @@ class NetworkModel
      * escape tables rebuild lazily, every queue-head route is
      * invalidated (precomputed routes must not outlive their
      * epoch — see the file header), and the memoized route plane
-     * is retired and rebuilt against the new topology. The sharded
-     * route plane stays enabled: each epoch shards against an
-     * immutable-within-epoch snapshot. Must be called serially at
-     * a cycle barrier (never mid-step).
+     * drops the rows of every node whose routing changed. The
+     * sharded route plane stays enabled: each epoch shards against
+     * an immutable-within-epoch snapshot. Must be called serially
+     * at a cycle barrier (never mid-step).
      */
     void onTopologyChanged();
 
@@ -319,8 +319,8 @@ class NetworkModel
      * cfg.routeCache is off or the topology cannot be
      * index-encoded. Supported at any epoch, including after
      * reconfigurations: the cache memoizes the current epoch's
-     * topology, and onTopologyChanged retires-and-rebuilds it at
-     * each epoch boundary. Byte-identical results either way.
+     * topology, and onTopologyChanged revalidates it at each epoch
+     * boundary. Byte-identical results either way.
      */
     void enableRouteCache();
 

@@ -62,11 +62,11 @@ struct SimConfig {
      * per-topology next-hop tables (core/route_cache.hpp). A cached
      * value is the same pure function's output, so results are
      * byte-identical on or off — an execution knob like jobs and
-     * shards, kept for A/B benchmarking. The cache memoizes one
-     * topology generation at a time: a mid-run reconfiguration
-     * retires it and rebuilds it against the new epoch
-     * (NetworkModel::onTopologyChanged), so it stays engaged across
-     * elastic runs.
+     * shards, kept for A/B benchmarking. The cache memoizes the
+     * current topology generation: a mid-run reconfiguration drops
+     * the rows of the nodes whose routing changed and keeps the
+     * rest (NetworkModel::onTopologyChanged), so it stays engaged
+     * across elastic runs.
      */
     bool routeCache = true;
     /**

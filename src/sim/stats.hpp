@@ -309,12 +309,20 @@ struct NetStats {
      */
     std::uint64_t topologyEpochs = 0;
     /**
-     * Memoized route-plane retire-and-rebuild handoffs across epoch
-     * boundaries. Proof that reconfiguration rebuilds the cache
-     * instead of permanently retiring it; knob-*dependent* (0 with
-     * the cache off), so tests assert it and reports must not.
+     * Memoized route-plane revalidations across epoch boundaries.
+     * Proof that reconfiguration keeps the cache engaged instead of
+     * permanently retiring it; knob-*dependent* (0 with the cache
+     * off), so tests assert it and reports must not.
      */
     std::uint64_t routeCacheRebuilds = 0;
+    /**
+     * Memoized route-plane rows (committed and first-hop, one each
+     * per node) kept and dropped by those epoch revalidations: a
+     * row survives when its node's routing version did not move.
+     * Knob-dependent like routeCacheRebuilds: tests only.
+     */
+    std::uint64_t routeCacheRowsKept = 0;
+    std::uint64_t routeCacheRowsDropped = 0;
 
     /**
      * Sleep/wake arbitration work counters: tryForward calls, heads

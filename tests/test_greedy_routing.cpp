@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <span>
+#include <string>
 
 #include "core/string_figure.hpp"
 #include "net/topology.hpp"
@@ -193,6 +195,138 @@ TEST(GreedyRouting, TwoHopLookaheadNeverLengthensPaths)
         }
     }
     EXPECT_LE(hops_with / pairs, hops_without / pairs + 1e-9);
+}
+
+/**
+ * Reference: the two-hop fold as it was before entries recorded
+ * their parent — every usable two-hop entry scans every plan for
+ * the one with its first-hop link. Kept here only to pin
+ * GreedyRouter::candidates, which looks the plan up directly.
+ */
+std::size_t
+scanFoldCandidates(const SFParams &params, const GreedyRouter &router,
+                   const RoutingTables &tables, NodeId current,
+                   NodeId dest, bool widen, std::span<LinkId> out)
+{
+    struct Ranked {
+        LinkId via;
+        NodeId node;
+        Coord oneHopMd;
+        Coord planValue;
+        bool qualifies;
+    };
+    const auto &entries = tables.table(current).entries();
+    const Coord md_here = router.distance(current, dest);
+    std::vector<Ranked> plans;
+    for (const TableEntry &e : entries) {
+        if (e.hops != 1 || !e.usable())
+            continue;
+        if (e.node == dest) {
+            out[0] = e.viaLink;
+            return 1;
+        }
+        const Coord md = router.distance(e.node, dest);
+        plans.push_back(Ranked{e.viaLink, e.node, md, md, md < md_here});
+    }
+    if (params.twoHopTable && !plans.empty()) {
+        for (const TableEntry &e : entries) {
+            if (e.hops != 2 || !e.usable())
+                continue;
+            const Coord md = router.distance(e.node, dest);
+            for (Ranked &plan : plans) {
+                if (plan.via != e.viaLink)
+                    continue;
+                plan.planValue = std::min(plan.planValue, md);
+                if (md < md_here)
+                    plan.qualifies = true;
+            }
+        }
+    }
+    std::erase_if(plans, [](const Ranked &p) { return !p.qualifies; });
+    if (plans.empty())
+        return 0;
+    std::sort(plans.begin(), plans.end(),
+              [](const Ranked &a, const Ranked &b) {
+                  if (a.planValue != b.planValue)
+                      return a.planValue < b.planValue;
+                  if (a.oneHopMd != b.oneHopMd)
+                      return a.oneHopMd < b.oneHopMd;
+                  return a.node < b.node;
+              });
+    const std::size_t count =
+        std::min(widen ? plans.size() : std::size_t{1}, out.size());
+    for (std::size_t i = 0; i < count; ++i)
+        out[i] = plans[i].via;
+    return count;
+}
+
+/** candidates == the scan fold for every pair and widen value. */
+void
+expectFoldMatchesScan(const StringFigure &sf_net,
+                      const RoutingTables &tables,
+                      const std::string &what)
+{
+    const GreedyRouter router(sf_net.data(), tables);
+    const std::size_t n = sf_net.numNodes();
+    LinkId got[16];
+    LinkId want[16];
+    for (NodeId s = 0; s < n; ++s) {
+        for (NodeId t = 0; t < n; ++t) {
+            if (s == t)
+                continue;
+            for (const bool widen : {true, false}) {
+                const std::size_t count =
+                    router.candidates(s, t, widen, got);
+                ASSERT_EQ(count,
+                          scanFoldCandidates(sf_net.params(), router,
+                                             tables, s, t, widen,
+                                             want))
+                    << what << " " << s << "->" << t;
+                for (std::size_t i = 0; i < count; ++i)
+                    ASSERT_EQ(got[i], want[i])
+                        << what << " " << s << "->" << t << " #" << i;
+            }
+        }
+    }
+}
+
+TEST(GreedyRouting, ParentIndexFoldMatchesPlanScan)
+{
+    for (const LinkMode mode :
+         {LinkMode::Unidirectional, LinkMode::Bidirectional}) {
+        for (const bool two_hop : {true, false}) {
+            SFParams p = makeParams(96, 8, mode, 5);
+            p.twoHopTable = two_hop;
+            StringFigure sf_net(p);
+            const std::string what =
+                std::string(mode == LinkMode::Bidirectional
+                                ? "bidir"
+                                : "unidir") +
+                (two_hop ? "" : " one-hop-only");
+            expectFoldMatchesScan(sf_net, sf_net.tables(),
+                                  what + " full");
+
+            // Degraded: a gated topology with repaired rings.
+            for (NodeId u = 1; u < 96; u += 9) {
+                if (sf_net.reconfig().canGate(u))
+                    sf_net.gate(u);
+            }
+            ASSERT_LT(sf_net.reconfig().numAlive(), 96u);
+            expectFoldMatchesScan(sf_net, sf_net.tables(),
+                                  what + " gated");
+
+            // Blocked entries (mid-protocol state): a blocked
+            // one-hop parent takes its two-hop children out too.
+            RoutingTables blocked = sf_net.tables();
+            for (NodeId u = 0; u < 96; u += 2) {
+                const auto &entries = blocked.table(u).entries();
+                if (!entries.empty())
+                    blocked.table(u).setBlocking(entries[0].node,
+                                                 true);
+            }
+            expectFoldMatchesScan(sf_net, blocked, what + " blocked");
+        }
+    }
 }
 
 TEST(GreedyRouting, VcClassSplitsByCoordinateDirection)

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "core/string_figure.hpp"
 #include "net/paths.hpp"
@@ -199,6 +201,79 @@ TEST(Reconfig, TablesStayInSyncWithGraph)
             EXPECT_TRUE(net.nodeAlive(e.node))
                 << "entry to dead node " << e.node;
         }
+    }
+}
+
+TEST(Reconfig, TableVersionMovesOnlyWithEntries)
+{
+    StringFigure net(makeParams(64, 8));
+    RoutingTables tables;
+    tables.rebuildAll(net.graph());
+    std::vector<std::uint64_t> before(64);
+    for (NodeId u = 0; u < 64; ++u)
+        before[u] = tables.table(u).version();
+
+    // Rebuilding an unchanged graph changes no entry: no version
+    // moves, whether one table or all are rebuilt.
+    tables.rebuildAll(net.graph());
+    tables.rebuildNode(5, net.graph());
+    for (NodeId u = 0; u < 64; ++u)
+        EXPECT_EQ(tables.table(u).version(), before[u]) << u;
+
+    // setBlocking moves the version only when it flips a bit.
+    RoutingTable &t = tables.table(5);
+    const NodeId neighbour = t.entries().at(0).node;
+    t.setBlocking(neighbour, true);
+    EXPECT_EQ(t.version(), before[5] + 1);
+    t.setBlocking(neighbour, true);  // already blocked
+    EXPECT_EQ(t.version(), before[5] + 1);
+    t.setBlocking(5, true);  // no entry refers to the router itself
+    EXPECT_EQ(t.version(), before[5] + 1);
+    t.setBlocking(neighbour, false);
+    EXPECT_EQ(t.version(), before[5] + 2);
+    // A rebuild over the same graph yields the same (unblocked)
+    // entries again: no change.
+    tables.rebuildNode(5, net.graph());
+    EXPECT_EQ(t.version(), before[5] + 2);
+}
+
+TEST(Reconfig, TableVersionsTrackEntryChangesAcrossGateAndUngate)
+{
+    for (const LinkMode mode :
+         {LinkMode::Unidirectional, LinkMode::Bidirectional}) {
+        StringFigure net(makeParams(96, 8, mode));
+        const auto snapshot = [&] {
+            std::vector<std::pair<std::uint64_t,
+                                  std::vector<TableEntry>>> s;
+            for (NodeId u = 0; u < 96; ++u)
+                s.emplace_back(net.tables().table(u).version(),
+                               net.tables().table(u).entries());
+            return s;
+        };
+        auto prev = snapshot();
+        const auto check = [&](const char *step) {
+            const auto now = snapshot();
+            int moved = 0;
+            for (NodeId u = 0; u < 96; ++u) {
+                // Equal version <=> equal entries (the cache keeps
+                // a row exactly when its version did not move).
+                EXPECT_EQ(now[u].first == prev[u].first,
+                          now[u].second == prev[u].second)
+                    << step << " node " << u;
+                moved += now[u].first != prev[u].first ? 1 : 0;
+            }
+            EXPECT_GT(moved, 0) << step;
+            EXPECT_LT(moved, 96) << step << ": change is local";
+            prev = now;
+        };
+        ASSERT_TRUE(net.gate(17).applied);
+        check("gate 17");
+        ASSERT_TRUE(net.gate(50).applied);
+        check("gate 50");
+        ASSERT_TRUE(net.ungate(17).applied);
+        check("ungate 17");
+        ASSERT_TRUE(net.ungate(50).applied);
+        check("ungate 50");
     }
 }
 

@@ -7,16 +7,18 @@
  * on first touch (fill) and on every repeat (hit) — across every
  * topology kind the factory builds, both wire directions, the
  * two-hop-table ablation, and degraded (gated) String Figures.
- * Also pins the per-epoch lifecycle (a reconfiguration retires the
- * cache for the ended topology generation and immediately rebuilds
- * it for the new one) and the contiguous-block concurrent fill
- * discipline the sharded route plane relies on (run under TSan in
- * CI).
+ * Also pins the per-epoch lifecycle (a reconfiguration revalidates
+ * the cache: rows of nodes whose routing version did not move are
+ * kept and must still be exact, the rest are dropped) and the
+ * contiguous-block concurrent fill discipline the sharded route
+ * plane relies on (run under TSan in CI).
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/route_cache.hpp"
@@ -149,7 +151,7 @@ TEST(RouteCache, ServesNoRouteAndRepeatsIt)
 
 // --------------------------------------------------- lifecycle
 
-TEST(RouteCache, ReconfigRetiresAndRebuildsCachePerEpoch)
+TEST(RouteCache, ReconfigRevalidatesCachePerEpoch)
 {
     StringFigure topo(
         makeParams(64, 8, LinkMode::Unidirectional, true));
@@ -161,10 +163,10 @@ TEST(RouteCache, ReconfigRetiresAndRebuildsCachePerEpoch)
     EXPECT_TRUE(model.routeCacheActive());
     EXPECT_EQ(model.topologyEpoch(), 0u);
 
-    // A reconfiguration ends the cache's topology generation: the
-    // stale cache retires at the epoch barrier and a fresh one is
-    // built against the new generation in the same call, so the
-    // memoized plane stays engaged across elastic runs.
+    // A reconfiguration ends the topology generation: the cache is
+    // revalidated at the epoch barrier (stale rows dropped, the
+    // rest kept), so the memoized plane stays engaged across
+    // elastic runs.
     ASSERT_TRUE(topo.gate(11).applied);
     model.onTopologyChanged();
     EXPECT_TRUE(model.routeCacheActive())
@@ -177,6 +179,122 @@ TEST(RouteCache, ReconfigRetiresAndRebuildsCachePerEpoch)
     EXPECT_TRUE(model.routeCacheActive());
     EXPECT_EQ(model.topologyEpoch(), 2u);
     EXPECT_EQ(model.stats().routeCacheRebuilds, 2u);
+}
+
+/** Fill every (current, dest, first_hop) row of @p cache. */
+void
+fillAll(const net::Topology &topo, RouteCache &cache)
+{
+    LinkId out[net::kMaxRouteCandidates];
+    for (NodeId s = 0; s < topo.numNodes(); ++s)
+        for (NodeId t = 0; t < topo.numNodes(); ++t)
+            for (const bool first_hop : {false, true})
+                cache.candidates(s, t, first_hop, out);
+}
+
+/** Every answer of @p cache equals the direct call, all pairs. */
+void
+expectAllPairsExact(const net::Topology &topo, RouteCache &cache,
+                    const std::string &what)
+{
+    SCOPED_TRACE(what);
+    for (NodeId s = 0; s < topo.numNodes(); ++s)
+        for (NodeId t = 0; t < topo.numNodes(); ++t)
+            for (const bool first_hop : {false, true}) {
+                expectSameAnswer(topo, cache, s, t, first_hop);
+                if (::testing::Test::HasFatalFailure())
+                    return;
+            }
+}
+
+TEST(RouteCache, RetainedRowsMatchDirectAfterEveryWave)
+{
+    for (const LinkMode mode :
+         {LinkMode::Unidirectional, LinkMode::Bidirectional}) {
+        StringFigure topo(makeParams(128, 8, mode, true));
+        RouteCache cache(topo);
+        fillAll(topo, cache);
+        const std::size_t all_rows = 2 * topo.numNodes();
+        ASSERT_EQ(cache.committedRows() + cache.firstHopRows(),
+                  all_rows);
+
+        // Waves: one leave, a three-node leave, and the joins that
+        // undo them. After each, revalidate, then check every pair
+        // before anything refills: kept rows answer from the cache.
+        const std::vector<std::vector<std::pair<bool, NodeId>>> waves =
+            {{{true, 9}},
+             {{true, 40}, {true, 71}, {true, 102}},
+             {{false, 40}, {false, 9}},
+             {{false, 71}, {false, 102}}};
+        int wave = 0;
+        for (const auto &events : waves) {
+            for (const auto &[leave, node] : events)
+                ASSERT_TRUE(leave ? topo.gate(node).applied
+                                  : topo.ungate(node).applied);
+            const RouteCache::Revalidation r = cache.revalidate();
+            EXPECT_EQ(r.kept + r.dropped, all_rows);
+            EXPECT_GT(r.kept, 0u) << "wave " << wave;
+            EXPECT_GT(r.dropped, 0u) << "wave " << wave;
+            EXPECT_EQ(cache.committedRows() + cache.firstHopRows(),
+                      r.kept);
+            expectAllPairsExact(topo, cache,
+                                "wave " + std::to_string(wave));
+            fillAll(topo, cache);
+            ++wave;
+        }
+    }
+}
+
+TEST(RouteCache, UnversionedTopologyDropsEveryRow)
+{
+    const auto mesh = topos::makeTopology(topos::TopoKind::DM, 64, 7);
+    RouteCache cache(*mesh);
+    fillAll(*mesh, cache);
+    const RouteCache::Revalidation r = cache.revalidate();
+    EXPECT_EQ(r.kept, 0u);
+    EXPECT_EQ(r.dropped, 2 * mesh->numNodes());
+    EXPECT_EQ(cache.committedRows() + cache.firstHopRows(), 0u);
+}
+
+TEST(RouteCache, SingleLeaveAtN256KeepsMostRows)
+{
+    SFParams p = makeParams(256, topos::randomTopologyPorts(256),
+                            LinkMode::Unidirectional, true, 2019);
+    StringFigure topo(p);
+    sim::SimConfig cfg;
+    cfg.routeCache = true;
+    sim::NetworkModel model(topo, cfg);
+    model.enableRouteCache();
+    ASSERT_TRUE(model.routeCacheActive());
+
+    // Uniform traffic warms rows at every node.
+    Rng rng(256);
+    for (int i = 0; i < 4000; ++i) {
+        const auto s = static_cast<NodeId>(rng.below(256));
+        const auto t = static_cast<NodeId>(rng.below(256));
+        if (s != t)
+            model.inject(s, t, 1, sim::kRequest, 0);
+    }
+    Cycle c = 0;
+    for (; c < 50000 && model.inFlight() > 0; ++c)
+        model.step(c);
+    ASSERT_EQ(model.inFlight(), 0u);
+
+    NodeId victim = kInvalidNode;
+    for (NodeId u = 100; u < 256 && victim == kInvalidNode; ++u) {
+        if (topo.reconfig().canGate(u))
+            victim = u;
+    }
+    ASSERT_NE(victim, kInvalidNode);
+    ASSERT_TRUE(topo.gate(victim).applied);
+    model.onTopologyChanged();
+    const sim::NetStats &st = model.stats();
+    EXPECT_EQ(st.routeCacheRebuilds, 1u);
+    EXPECT_GT(st.routeCacheRowsDropped, 0u);
+    // Only routers whose tables saw the victim lose their rows.
+    EXPECT_GT(st.routeCacheRowsKept, 3 * st.routeCacheRowsDropped)
+        << "kept " << st.routeCacheRowsKept << ", dropped "
+        << st.routeCacheRowsDropped;
 }
 
 TEST(RouteCache, EnableAfterReconfigEpochEngagesFreshCache)
